@@ -43,6 +43,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import threading
 import time
 from typing import Optional
 
@@ -125,8 +126,6 @@ class PartitionWorker:
         self.part2worker = np.asarray(part2worker, dtype=np.int64)
         self.parts = [p for p in range(num_parts) if self.part2worker[p] == wid]
 
-        import time as _time
-        self._t_init_enter = _time.time()
         tables = []
         for p in self.parts:
             pdir = os.path.join(graph_dir, "edges", f"part={p}")
@@ -201,7 +200,6 @@ class PartitionWorker:
         # layout serves both the pagerank and spmv message kinds
         self._comb_cache: dict[int, dict] = {}
         self._tree_bytes = {"intra_in": 0, "inter_out": 0, "combines": 0}
-        self._t_init_done = _time.time()
 
     def _recv_pos(self, sender: int, vids) -> np.ndarray:
         # Positions for the STATIC packed-layout paths (pagerank / spmv),
@@ -449,9 +447,17 @@ class PartitionWorker:
         return np.concatenate([x, self._mirror_vals[name]])
 
     # -- bookkeeping ------------------------------------------------------
-    def init_times(self):
-        import time as _time
-        return (self._t_init_enter, getattr(self, "_t_init_done", _time.time()))
+    def reload(self, *args, **kw):
+        """Serve a new engine from this (pooled) process: drop every
+        attribute, then construct afresh — no state of the previous engine
+        (CSR, caches, algorithm state) can survive a reuse."""
+        self.__dict__.clear()
+        self.__init__(*args, **kw)
+        return self.info()
+
+    def release(self):
+        """Free the graph and all state while the process waits idle."""
+        self.__dict__.clear()
 
     def info(self):
         return {
@@ -2127,6 +2133,23 @@ class PartitionWorker:
         return len(ids)
 
 
+# Idle PartitionWorker processes kept warm across engines, per Ray session.
+# Keyed by (job id, driver node id): a fresh local cluster reuses job id 1,
+# but not the node id, so handles from an earlier ``ray.init`` are dropped.
+_IDLE: dict = {}
+_IDLE_LOCK = threading.Lock()
+
+
+def _idle_workers() -> list:
+    """This session's idle list; take ``_IDLE_LOCK`` to change it."""
+    ctx = ray.get_runtime_context()
+    key = (ctx.get_job_id(), ctx.get_node_id())
+    if key not in _IDLE:
+        _IDLE.clear()
+        _IDLE[key] = []
+    return _IDLE[key]
+
+
 class SuperstepEngine:
     """Driver-side BSP loop + checkpoint/lineage/resume over PartitionWorkers."""
 
@@ -2213,8 +2236,8 @@ class SuperstepEngine:
         # round is vid-ful (receivers cache positions), every later one
         # ships float partials only — half the steady-state exchange bytes.
         self._static_vids_shipped = False
-        # engine reuse: when True, result_dataset leaves the pool alive
-        # (caller owns shutdown; see result_dataset docstring)
+        # engine reuse: when True, result_dataset keeps the workers with
+        # this engine (caller owns shutdown; see result_dataset docstring)
         self._keep_alive = False
         # wide-id kernels: auto past 2^32 vertices; forceable for the
         # forced-path equality tests ($RAYGRAPH_WIDE_KEYS=1 or the arg).
@@ -2222,50 +2245,38 @@ class SuperstepEngine:
             env = os.environ.get("RAYGRAPH_WIDE_KEYS")
             wide_keys = bool(int(env)) if env is not None else None
         self.wide_keys = wide_keys
-        import time as _time
-
-        _dbg = os.environ.get("RAYGRAPH_DEBUG_CTOR")
-        _t0 = _time.perf_counter()
         self.part2worker = self._balanced_assignment(graph, P, self.W)
-        _t1 = _time.perf_counter()
-        # Per-worker CPU reservation: default 1, but never reserve the WHOLE
-        # cluster — ray.data constructs every Dataset (read_parquet included)
-        # through small metadata/sampling remote tasks, and a full
-        # reservation deadlocks them.  Leave one CPU of headroom when the
-        # pool would otherwise cover every core ($RAYGRAPH_WORKER_CPUS
-        # overrides both the default and the shave).
-        env_cpu = os.environ.get("RAYGRAPH_WORKER_CPUS")
-        if env_cpu is not None:
-            worker_cpus = float(env_cpu)
-        else:
-            total = float(ray.cluster_resources().get("CPU", self.W))
-            worker_cpus = 1.0
-            if self.W >= total:
-                worker_cpus = max(total - 1.0, 0.0) / self.W
-        self.workers = [
-            PartitionWorker.options(
-                num_cpus=worker_cpus
-            ).remote(
-                graph.base_dir, wid, self.W, P, graph.num_vertices,
-                part2worker=self.part2worker, wide_keys=wide_keys,
-            )
+
+        def load(wid, worker=None):
+            # pooled processes reload in place; only the shortfall spawns
+            args = (graph.base_dir, wid, self.W, P, graph.num_vertices)
+            kw = dict(part2worker=self.part2worker, wide_keys=wide_keys)
+            if worker is not None:
+                return worker, worker.reload.remote(*args, **kw)
+            # zero-CPU reservation: idle pooled workers hold no CPUs, and a
+            # live pool never starves Dataset tasks of scheduling slots
+            worker = PartitionWorker.options(
+                num_cpus=0, scheduling_strategy="SPREAD"
+            ).remote(*args, **kw)
+            return worker, worker.info.remote()
+
+        with _IDLE_LOCK:
+            idle = _idle_workers()
+            pooled = [idle.pop() for _ in range(min(self.W, len(idle)))]
+        started = [
+            load(wid, pooled[wid] if wid < len(pooled) else None)
             for wid in range(self.W)
         ]
-        _t2 = _time.perf_counter()
-        ray.get([w.info.remote() for w in self.workers])
-        if _dbg:
-            import sys as _sys
-
-            times = ray.get([w.init_times.remote() for w in self.workers])
-            enters = [t[0] for t in times]
-            durs = [t[1] - t[0] for t in times]
-            print(
-                f"CTOR phases: lpt={_t1 - _t0:.2f} spawn={_t2 - _t1:.2f} "
-                f"load={_time.perf_counter() - _t2:.2f} "
-                f"enter_spread={max(enters) - min(enters):.2f} "
-                f"init_dur min={min(durs):.2f} max={max(durs):.2f}",
-                file=_sys.stderr,
-            )
+        self.workers = [w for w, _ in started]
+        for wid, (_, ready) in enumerate(started):
+            try:
+                ray.get(ready)
+            except ray.exceptions.RayActorError:
+                if wid >= len(pooled):
+                    raise
+                # a pooled process that died while idle: replace it once
+                self.workers[wid], ready = load(wid)
+                ray.get(ready)
 
     @staticmethod
     def _balanced_assignment(graph, P: int, W: int) -> np.ndarray:
@@ -2533,30 +2544,36 @@ class SuperstepEngine:
         return self
 
     def shutdown(self):
-        """Release worker actors (and their CPU reservations).
-
-        Must run before any Dataset job that needs the CPUs the pool holds —
-        a pool sized to the whole node would otherwise starve the read/write
-        stages and deadlock the pipeline.
+        """Return the worker processes to this Ray session's idle pool, so
+        the next engine reloads them instead of paying process start-up
+        and imports again.  ``release`` frees each worker's graph and state;
+        actor task order runs it after everything already submitted.  At
+        most the cluster's CPU count of processes stay idle; extras are
+        killed.
         """
-        for w in self.workers:
-            ray.kill(w)
+        cap = int(ray.cluster_resources().get("CPU", 0))
+        with _IDLE_LOCK:
+            idle = _idle_workers()
+            for w in self.workers:
+                if len(idle) < cap:
+                    # submitted before another engine can take the worker,
+                    # so it runs before that engine's ``reload``
+                    w.release.remote()
+                    idle.append(w)
+                else:
+                    ray.kill(w)
         self.workers = []
 
     def result_dataset(self, names, out_dir: Optional[str] = None):
         """Final vertex state as a Dataset (per-partition parquet on disk).
 
-        Writes through the workers, then releases them so downstream Dataset
-        stages can schedule.  With ``_keep_alive`` set (engine reuse across
-        algorithms) the pool survives and the returned Dataset is a LAZY
-        read handle — on a cluster whose CPUs are fully reserved by the
-        pool, consume it only after ``shutdown()`` (Dataset tasks cannot
-        schedule against a full reservation).
+        Writes through the workers, then shuts the engine down.  With
+        ``_keep_alive`` set (engine reuse across algorithms) the workers
+        stay with the engine and the caller owns ``shutdown()``; the
+        returned Dataset is a lazy read handle either way.
         """
         import tempfile
         import uuid
-
-        import ray.data as rd
 
         if out_dir is None:
             out_dir = os.path.join(
@@ -2566,8 +2583,8 @@ class SuperstepEngine:
         if not getattr(self, "_keep_alive", False):
             self.shutdown()
         # driver-side footer fetch: the default provider's remote metadata
-        # tasks stall 12-21s behind this pool's CPU reservation + the
-        # build's cleanup window (see sources.driver_meta_provider)
+        # tasks can stall behind the build's cleanup window (see
+        # sources.driver_meta_provider)
         from raygraph.sources import read_parquet_dir
 
         return read_parquet_dir(out_dir)
@@ -2576,8 +2593,6 @@ class SuperstepEngine:
         """Final per-edge state as a Dataset keyed by (src, dst)."""
         import tempfile
         import uuid
-
-        import ray.data as rd
 
         if out_dir is None:
             out_dir = os.path.join(

@@ -671,8 +671,8 @@ def test_engine_reuse_matches_standalone(tmp_path):
 
     eng = SuperstepEngine(g, num_workers=4)
     try:
-        # results from a kept-alive engine are LAZY handles — the pool
-        # reserves CPUs, so consume them only after shutdown
+        # results from a kept-alive engine are lazy read handles over the
+        # files its workers wrote; consume them after shutdown all the same
         ds_a = pagerank(g, tol=1e-10, max_iter=500, engine=eng)
         ds_b = weakly_connected_components(g, engine=eng)
         ds_c = label_propagation(g, max_iter=10, engine=eng)
