@@ -90,9 +90,7 @@ def run_bench() -> dict:
     extras["ingest_rows"] = n_ingest
 
     with timed("graph_build"):
-        edges = derive.derive_edges(
-            rd.read_parquet(corpus_dir), concurrency=(1, max(2, NUM_CPUS // 2))
-        )
+        edges = derive.derive_edges(rd.read_parquet(corpus_dir))
         g = Graph.from_edges(
             edges, directed=False, num_partitions=32,
             out_dir=f"/tmp/raygraph-bench/graph-{n_rows}-{NUM_CPUS}-{time.time_ns()}",

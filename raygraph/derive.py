@@ -13,9 +13,10 @@ Two extractors:
 Key strings use the ``::`` delimiter, the reference's category-qualified
 node-key convention (``hypergraph.py:53`` DELIM).
 
-Both extractors are stateless map-only stages; the regex table is compiled
-once per actor (callable class → actor pool) so the hot path is
-findall + Counter per row.
+Both extractors are stateless map-only task stages; the regex table is
+compiled once at module import, so the hot path is findall + Counter per
+row.  (An actor-pool stage holds a CPU per actor for the whole stage;
+with one free CPU the read tasks that feed it were never scheduled.)
 """
 
 from __future__ import annotations
@@ -55,53 +56,30 @@ def membership_edges(batch: pa.Table) -> pa.Table:
     return pa.table({"src_key": src, "dst_key": dst, "weight": w})
 
 
-class ImportEdgeExtractor:
-    """Actor-pool stage: parse import targets out of ``content`` per ``lang``.
-
-    Regexes are compiled at module import; the class form exists so future
-    language tables / tokenizers load once per actor, not once per batch.
-    """
-
-    def __init__(self):
-        self.regexes = _IMPORT_RE
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        repos = batch.column("repo").to_pylist()
-        paths = batch.column("path").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        contents = batch.column("content").to_pylist()
-        src, dst, wt = [], [], []
-        for repo, path, lang, content in zip(repos, paths, langs, contents):
-            rex = self.regexes.get(lang)
-            if rex is None:
-                continue
-            counts = Counter(rex.findall(content))
-            pkey = f"path::{repo}/{path}"
-            for mod, n in counts.items():
-                src.append(pkey)
-                dst.append(f"mod::{lang}::{mod}")
-                wt.append(float(n))
-        return pa.table(
-            {
-                "src_key": pa.array(src, pa.string()),
-                "dst_key": pa.array(dst, pa.string()),
-                "weight": pa.array(wt, pa.float64()),
-            }
-        )
-
-
-def import_edges(corpus_ds, concurrency=(1, 4)):
-    """Actor-pool stage (callable class ⇒ Ray requires ``concurrency``).
-
-    Default is a small autoscaling pool; bench/production callers size it to
-    the cluster (concurrency × num_cpus ≤ node CPUs, leaving room for the
-    read and shuffle stages).
-    """
-    return corpus_ds.map_batches(
-        ImportEdgeExtractor,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
+def import_edges(batch: pa.Table) -> pa.Table:
+    """path → module edges: import targets parsed out of ``content`` per
+    ``lang``; weight = the import's multiplicity in the file."""
+    repos = batch.column("repo").to_pylist()
+    paths = batch.column("path").to_pylist()
+    langs = batch.column("lang").to_pylist()
+    contents = batch.column("content").to_pylist()
+    src, dst, wt = [], [], []
+    for repo, path, lang, content in zip(repos, paths, langs, contents):
+        rex = _IMPORT_RE.get(lang)
+        if rex is None:
+            continue
+        counts = Counter(rex.findall(content))
+        pkey = f"path::{repo}/{path}"
+        for mod, n in counts.items():
+            src.append(pkey)
+            dst.append(f"mod::{lang}::{mod}")
+            wt.append(float(n))
+    return pa.table(
+        {
+            "src_key": pa.array(src, pa.string()),
+            "dst_key": pa.array(dst, pa.string()),
+            "weight": pa.array(wt, pa.float64()),
+        }
     )
 
 
@@ -131,7 +109,7 @@ def extractor_names():
 
 
 register_extractor("membership", membership_edges)
-register_extractor("imports", ImportEdgeExtractor, concurrency=(1, 4))
+register_extractor("imports", import_edges)
 
 
 def derive_edges(corpus_ds, kinds=("membership", "imports"), concurrency=None):

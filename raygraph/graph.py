@@ -493,39 +493,51 @@ def _from_edges_local(ds, out_dir, directed, renumber, dedup,
     partitioning, per-part (src,dst)-sorted hive parquet), minus the
     per-stage Dataset round-trips.  The caller already normalized the
     edge table to (src, dst, weight:float64) and holds the gate."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
+    import ray
+    from ray.data.block import BlockAccessor
 
     from raygraph.hashing import hash_int64, hash_str_array, part_of_vertex
 
-    df = ds.to_pandas()
-    s_raw = df["src"].to_numpy()
-    d_raw = df["dst"].to_numpy()
-    w = df["weight"].to_numpy(np.float64)
+    # to_arrow_refs() hands pandas blocks back unconverted, and an empty
+    # block may carry null-typed or upstream columns, so empties are dropped
+    blocks = [BlockAccessor.for_block(b).to_arrow()
+              for b in ray.get(ds.to_arrow_refs())]
+    empty = pa.table({"src": [], "dst": [], "weight": pa.array([], pa.float64())})
+    t = pa.concat_tables(
+        [b.select(list(CANON)) for b in blocks if b.num_rows] or [empty],
+        promote_options="permissive")
+    w = t.column("weight").to_numpy()
 
     os.makedirs(out_dir, exist_ok=True)
     if renumber:
-        key_is_str = not pd.api.types.is_integer_dtype(df["src"])
-        keys = np.unique(np.concatenate([s_raw, d_raw]))
+        ends = t.column("src").chunks + t.column("dst").chunks
+        keys = pc.unique(pa.chunked_array(ends, t.schema.field("src").type))
+        # Arrow sorts strings by UTF-8 bytes, i.e. by code point — the
+        # order the Dataset build's per-bucket np.unique ranks in
+        keys = keys.take(pc.sort_indices(keys))
         V = len(keys)
-        h = hash_str_array(keys) if key_is_str else hash_int64(
-            keys.astype(np.int64))
+        h = (hash_int64(keys.cast(pa.int64()).to_numpy())
+             if pa.types.is_integer(keys.type)
+             else hash_str_array(keys.to_numpy(zero_copy_only=False)))
         bucket = (h % np.uint64(64)).astype(np.int64)
         # vid = bucket-offset + ascending rank within bucket — keys are
         # already ascending, so bucket-major stable order IS the rank
         order = np.argsort(bucket, kind="stable")
         vid_of_key = np.empty(V, dtype=np.int64)
         vid_of_key[order] = np.arange(V, dtype=np.int64)
-        s = vid_of_key[np.searchsorted(keys, s_raw)]
-        d = vid_of_key[np.searchsorted(keys, d_raw)]
+        s = vid_of_key[pc.index_in(t.column("src"), value_set=keys).to_numpy()]
+        d = vid_of_key[pc.index_in(t.column("dst"), value_set=keys).to_numpy()]
         vmap_dir = os.path.join(out_dir, "vmap")
         os.makedirs(vmap_dir, exist_ok=True)
         pq.write_table(
-            pa.table({"vertex_key": pa.array(keys), "vid": vid_of_key}),
+            pa.table({"vertex_key": keys, "vid": vid_of_key}),
             os.path.join(vmap_dir, "part-0.parquet"),
         )
     else:
-        s = np.asarray(s_raw, dtype=np.int64)
-        d = np.asarray(d_raw, dtype=np.int64)
+        s = t.column("src").to_numpy().astype(np.int64, copy=False)
+        d = t.column("dst").to_numpy().astype(np.int64, copy=False)
         V = int(max(s.max(initial=-1), d.max(initial=-1))) + 1 if len(s) else 0
 
     mirror = False

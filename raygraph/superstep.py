@@ -504,7 +504,9 @@ class PartitionWorker:
             for n in names:
                 cols[n] = self.state[n][mask]
             path = os.path.join(out_dir, f"part-{p:05d}.parquet")
-            pq.write_table(pa.table(cols), path)
+            # per-vertex state is mostly distinct values: a dictionary page
+            # would be built and then abandoned on every checkpoint
+            pq.write_table(pa.table(cols), path, use_dictionary=False)
             written.append((p, int(mask.sum())))
         return written
 

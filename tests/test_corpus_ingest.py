@@ -97,7 +97,7 @@ def test_import_edges_parse():
             ],
         }
     )
-    e = ImportExtractor = derive.ImportEdgeExtractor()(t).to_pandas()
+    e = derive.import_edges(t).to_pandas()
     e = e.sort_values(["src_key", "dst_key"]).reset_index(drop=True)
     assert list(e["dst_key"]) == [
         "mod::py::bar.baz",
@@ -122,6 +122,40 @@ def test_derive_edges_end_to_end():
     assert (df["weight"] >= 1.0).all()
     n_membership = (df["src_key"].str.startswith("repo::")).sum()
     assert n_membership == n
+    assert (df["src_key"].str.startswith("path::")).sum() > 0
+
+
+def test_derive_edges_completes_with_one_free_cpu():
+    """The built-in extractors run as task stages, so derivation finishes
+    when a single CPU is free (an actor-pool stage held that CPU and the
+    read tasks feeding it never ran)."""
+    import threading
+
+    import ray
+    from ray.util.placement_group import (placement_group,
+                                          remove_placement_group)
+
+    n = 200
+    # reserve every CPU but one
+    pg = placement_group([{"CPU": int(ray.cluster_resources()["CPU"]) - 1}])
+    ray.get(pg.ready(), timeout=60)
+    out = {}
+
+    def run():
+        out["df"] = derive.derive_edges(
+            corpus.corpus_dataset(n, seed=3)).to_pandas()
+
+    th = threading.Thread(target=run, daemon=True)
+    try:
+        th.start()
+        th.join(timeout=60)
+        finished = not th.is_alive()
+    finally:
+        remove_placement_group(pg)
+        th.join(timeout=120)  # a hung run drains once the CPUs are back
+    assert finished, "derive_edges did not finish within 60 s on one CPU"
+    df = out["df"]
+    assert (df["src_key"].str.startswith("repo::")).sum() == n
     assert (df["src_key"].str.startswith("path::")).sum() > 0
 
 

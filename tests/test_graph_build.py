@@ -276,27 +276,47 @@ def test_order_by_degree_requires_renumber(tmp_path):
         )
 
 
-def test_local_build_matches_distributed(tmp_path):
+def _local_build_input(case):
+    rng = np.random.RandomState(5)
+    n = 300
+    # "｡" (U+FF61) sorts before the emoji by code point but after it in
+    # UTF-16, so a UTF-16 ordered sort would change the vids
+    prefix = np.array(["｡", "\U0001f600", "é", "k"], dtype=object)
+
+    def keys():
+        if case == "int":
+            return rng.randint(-(2**40), 2**40, 50)[rng.randint(0, 50, n)]
+        k = pd.Series(rng.randint(0, 50, n)).astype(str)
+        if case == "ascii":
+            return "k::" + k
+        return prefix[rng.randint(0, len(prefix), n)] + k.to_numpy()
+
+    df = pd.DataFrame({"src": keys(), "dst": keys(),
+                       "weight": rng.uniform(0.5, 2.0, n).round(3)})
+    if case != "pandas_empties":
+        return lambda: rd.from_pandas(df)
+    # the query layer's filtered edge shape: pandas blocks, some emptied
+    blocks = [df.iloc[i:i + 50] for i in range(0, n, 50)]
+    return lambda: rd.from_pandas(blocks).map_batches(
+        lambda b: b[b["weight"] >= 1.0] if b.index[0] % 100 else b.iloc[:0],
+        batch_format="pandas",
+    )
+
+
+@pytest.mark.parametrize("case", ["ascii", "non_ascii", "int",
+                                  "pandas_empties"])
+def test_local_build_matches_distributed(tmp_path, case):
     """The driver-local small-input build must replicate the distributed
     stages bit-for-bit: same vids (bucket-rank), same canonical-pair
     symmetrize + self-loop sum doubling, same splitmix64 partition
-    placement."""
-    rng = np.random.RandomState(5)
-    n = 300
-    df = pd.DataFrame(
-        {
-            "src": "k::" + pd.Series(rng.randint(0, 50, n)).astype(str),
-            "dst": "k::" + pd.Series(rng.randint(0, 50, n)).astype(str),
-            "weight": rng.uniform(0.5, 2.0, n).round(3),
-        }
-    )
+    placement, same meta (``renumbered`` drives unrenumbering)."""
+    make = _local_build_input(case)
     kw = dict(src="src", dst="dst", weight="weight", directed=False,
               dedup="sum", num_partitions=4)
-    ga = Graph.from_edges(rd.from_pandas(df),
-                          out_dir=str(tmp_path / "loc"), **kw)
-    gb = Graph.from_edges(rd.from_pandas(df), local_edge_limit=0,
+    ga = Graph.from_edges(make(), out_dir=str(tmp_path / "loc"), **kw)
+    gb = Graph.from_edges(make(), local_edge_limit=0,
                           out_dir=str(tmp_path / "dist"), **kw)
-    assert (ga.num_vertices, ga.num_edges) == (gb.num_vertices, gb.num_edges)
+    assert ga.meta == gb.meta
     cols = ["src", "dst", "weight"]
     ea = ga.edges_dataset().to_pandas()
     eb = gb.edges_dataset().to_pandas()
