@@ -379,6 +379,8 @@ def betweenness_centrality(graph, k: Optional[int] = None, sources=None,
     if rescaled and len(sources) < V:
         scale *= V / len(sources)
 
+    # driver-side Brandes replica, kept until the engine's per-source
+    # superstep loop has been measured against it in the driver
     if (num_workers is None and graph.num_edges <= local_edge_limit
             and V <= 2_000_000):
         import pandas as pd
@@ -448,6 +450,7 @@ def edge_betweenness_centrality(graph, k: Optional[int] = None, sources=None,
     elif not graph.directed:
         scale *= 0.5
 
+    # driver replica kept for the reason given in betweenness_centrality
     if (num_workers is None and graph.num_edges <= local_edge_limit
             and V <= 2_000_000):
         import pandas as pd

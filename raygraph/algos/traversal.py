@@ -25,7 +25,7 @@ import numpy as np
 import pandas as pd
 import ray
 
-from raygraph.superstep import SuperstepEngine
+from raygraph.superstep import SuperstepEngine, gate_executor, get
 
 
 def _run_frontier(engine, scatter, update, max_iter, mirror_names=(),
@@ -65,124 +65,6 @@ def _run_frontier(engine, scatter, update, max_iter, mirror_names=(),
     return max_iter - 1
 
 
-def _csr_local(graph):
-    """(src, dst, w, nbr-order CSR) arrays of a small graph's stored
-    edges — shared by the driver-local traversal gates."""
-    V = graph.num_vertices
-    df = graph.edges_dataset(columns=["src", "dst", "weight"]).to_pandas()
-    src = df["src"].to_numpy(np.int64)
-    dst = df["dst"].to_numpy(np.int64)
-    w = df["weight"].to_numpy(np.float64)
-    return V, src, dst, w
-
-
-def _bfs_local(graph, srcs, max_iter, max_depth, out_dir):
-    """Driver-local BFS replica: per level, a newly reached vertex takes
-    distance level+1 and the MIN frontier in-neighbor as predecessor —
-    exactly the engine's packed (dist << vbits | src) min rule."""
-    import ray.data as rd
-
-    V, src, dst, _ = _csr_local(graph)
-    order = np.argsort(src, kind="stable")
-    nbr = dst[order]
-    tails_sorted = src[order]
-    indptr = np.zeros(V + 1, np.int64)
-    indptr[1:] = np.cumsum(np.bincount(src, minlength=V))
-    dist = np.full(V, -1, np.int64)
-    pred = np.full(V, -1, np.int64)
-    srcs = np.unique(np.asarray(srcs, dtype=np.int64))
-    dist[srcs] = 0
-    cur = srcs
-    limit = max_iter if max_depth is None else min(max_iter, max_depth)
-    it = 0
-    while len(cur) and it < limit:
-        p0 = indptr[cur]
-        deg = indptr[cur + 1] - p0
-        tot = int(deg.sum())
-        if tot == 0:
-            cur = np.empty(0, np.int64)
-            break
-        idx = np.repeat(p0, deg) + (
-            np.arange(tot) - np.repeat(np.cumsum(deg) - deg, deg)
-        )
-        heads = nbr[idx]
-        tails = tails_sorted[idx]
-        m = dist[heads] == -1
-        heads, tails = heads[m], tails[m]
-        if len(heads):
-            o = np.lexsort((tails, heads))
-            h, t = heads[o], tails[o]
-            first = np.r_[True, h[1:] != h[:-1]]
-            hv, tv = h[first], t[first]
-            dist[hv] = it + 1
-            pred[hv] = tv
-            cur = hv
-        else:
-            cur = np.empty(0, np.int64)
-        it += 1
-    if len(cur) and max_depth is None and it >= max_iter:
-        raise RuntimeError(
-            f"frontier loop did not settle in {max_iter} supersteps"
-        )
-    out = rd.from_pandas(
-        pd.DataFrame(
-            {"vertex": np.arange(V, dtype=np.int64),
-             "distance": dist, "predecessor": pred}
-        )
-    )
-    if out_dir is not None:
-        out.write_parquet(out_dir)
-        out = rd.read_parquet(out_dir)
-    return out
-
-
-def _sssp_local(graph, srcs, max_iter, out_dir):
-    """Driver-local synchronous Bellman-Ford replica: per round,
-    candidates from ACTIVE sources relax to min (dist, pred-src) per
-    dst; a vertex updates only on a STRICT distance improvement — the
-    engine's exact update rule, so floats match bit-for-bit."""
-    import ray.data as rd
-
-    V, src, dst, w = _csr_local(graph)
-    dist = np.full(V, np.inf)
-    pred = np.full(V, -1, np.int64)
-    srcs = np.unique(np.asarray(srcs, dtype=np.int64))
-    dist[srcs] = 0.0
-    active = np.zeros(V, dtype=bool)
-    active[srcs] = True
-    for it in range(max_iter):
-        am = active[src]
-        if not am.any():
-            break
-        tails, heads, nd = src[am], dst[am], dist[src[am]] + w[am]
-        o = np.lexsort((tails, nd, heads))
-        h, t, d = heads[o], tails[o], nd[o]
-        first = np.r_[True, h[1:] != h[:-1]]
-        hv, tv, dv = h[first], t[first], d[first]
-        improved = dv < dist[hv]
-        active = np.zeros(V, dtype=bool)
-        if improved.any():
-            hv, tv, dv = hv[improved], tv[improved], dv[improved]
-            dist[hv] = dv
-            pred[hv] = tv
-            active[hv] = True
-    else:
-        if active.any():
-            raise RuntimeError(
-                f"frontier loop did not settle in {max_iter} supersteps"
-            )
-    out = rd.from_pandas(
-        pd.DataFrame(
-            {"vertex": np.arange(V, dtype=np.int64),
-             "distance": dist, "predecessor": pred}
-        )
-    )
-    if out_dir is not None:
-        out.write_parquet(out_dir)
-        out = rd.read_parquet(out_dir)
-    return out
-
-
 def bfs(graph, sources: Sequence[int] | int, max_iter: int = 10_000,
         num_workers: Optional[int] = None, out_dir=None,
         checkpoint_dir: Optional[str] = None, checkpoint_every: int = 1,
@@ -190,30 +72,26 @@ def bfs(graph, sources: Sequence[int] | int, max_iter: int = 10_000,
         local_edge_limit: int = 500_000):
     """``max_depth`` caps expansion at that many hops (vertices farther out
     stay at distance −1) instead of raising — the k-hop/egonet contract.
-    Small graphs run the identical level-synchronous rule on driver
-    arrays (``local_edge_limit=0`` / ``num_workers=`` pin the engine)."""
-    import pyarrow as pa
-
+    Small graphs run the same engine in the driver (``local_edge_limit=0``
+    / ``num_workers=`` pin the actor pool)."""
     srcs = [sources] if isinstance(sources, int) else list(sources)
-    if (num_workers is None and checkpoint_dir is None and not resume
-            and graph.num_edges <= local_edge_limit
-            and graph.num_vertices <= 2_000_000):
-        return _bfs_local(graph, srcs, max_iter, max_depth, out_dir)
     engine = SuperstepEngine(
         graph, num_workers=num_workers,
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        executor=gate_executor(graph, num_workers, checkpoint_dir,
+                               resume, local_edge_limit),
     )
     if max_depth is not None:
         max_iter = min(max_iter, max_depth)
     try:
         engine.wire_mirrors()
-        ray.get([w.bfs_init.remote(srcs) for w in engine.workers])
+        get([w.bfs_init.remote(srcs) for w in engine.workers])
         _run_frontier(engine, "bfs_scatter", "bfs_update", max_iter,
                       mirror_names=("bfs", "active"), algo="bfs",
                       states=("bfs", "active"),
                       checkpoint_dir=checkpoint_dir, resume=resume,
                       raise_on_limit=max_depth is None)
-        ray.get([w.bfs_result.remote() for w in engine.workers])
+        get([w.bfs_result.remote() for w in engine.workers])
         ds = engine.result_dataset(["distance", "predecessor"], out_dir=out_dir)
         return ds
     finally:
@@ -321,17 +199,15 @@ def sssp(graph, sources: Sequence[int] | int, max_iter: int = 10_000,
          checkpoint_dir: Optional[str] = None, checkpoint_every: int = 1,
          resume: bool = False, local_edge_limit: int = 500_000):
     srcs = [sources] if isinstance(sources, int) else list(sources)
-    if (num_workers is None and checkpoint_dir is None and not resume
-            and graph.num_edges <= local_edge_limit
-            and graph.num_vertices <= 2_000_000):
-        return _sssp_local(graph, srcs, max_iter, out_dir)
     engine = SuperstepEngine(
         graph, num_workers=num_workers,
         checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        executor=gate_executor(graph, num_workers, checkpoint_dir,
+                               resume, local_edge_limit),
     )
     try:
         engine.wire_mirrors()
-        ray.get([w.sssp_init.remote(srcs) for w in engine.workers])
+        get([w.sssp_init.remote(srcs) for w in engine.workers])
         _run_frontier(engine, "sssp_scatter", "sssp_update", max_iter,
                       mirror_names=("dist", "active"), algo="sssp",
                       states=("dist", "pred", "active"),

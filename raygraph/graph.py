@@ -811,21 +811,6 @@ class Graph:
         """
         if order_by_degree and not renumber:
             raise ValueError("order_by_degree requires renumber=True")
-        # opt-in phase timing to stderr ($RAYGRAPH_BUILD_DEBUG=1) — the
-        # build is the headline pipeline's biggest stage, keep it auditable
-        import sys as _sys
-        import time as _time
-
-        _dbg = bool(os.environ.get("RAYGRAPH_BUILD_DEBUG"))
-        _tick_t = [_time.perf_counter()]
-
-        def _tick(phase: str):
-            if _dbg:
-                now = _time.perf_counter()
-                print(f"BUILD {phase}: {now - _tick_t[0]:.2f}s",
-                      file=_sys.stderr)
-                _tick_t[0] = now
-
         if out_dir is None:
             out_dir = os.path.join(
                 tempfile.gettempdir(), "raygraph", f"graph-{uuid.uuid4().hex[:12]}"
@@ -840,7 +825,6 @@ class Graph:
         # small relative to the source corpus — and materialize() keeps it
         # as spillable object-store blocks, so this stays streaming-safe.
         ds = ds.materialize()
-        _tick("normalize+materialize")
 
         if (split_degree_threshold is None and not order_by_degree
                 and ds.count() <= local_edge_limit):
@@ -851,7 +835,6 @@ class Graph:
                 ds, out_dir, directed, renumber, dedup, num_partitions,
                 weight, src, dst,
             )
-            _tick("local_build")
             return g
 
         # The derivation inherits the source's block granularity (often
@@ -888,13 +871,10 @@ class Graph:
             )
             vmap, V = builder(ds, src_col="src", dst_col="dst", key_is_str=key_is_str)
             vmap = vmap.materialize()
-            _tick("vertex_map")
             ds = translate_edges(
                 ds, vmap, V, src_col="src", dst_col="dst", broadcast_limit=broadcast_limit
             )
-            _tick("translate_lazy")
             vmap.write_parquet(os.path.join(out_dir, "vmap"))
-            _tick("vmap_write")
         else:
             cast = lambda t: pa.table(
                 {
@@ -956,7 +936,6 @@ class Graph:
                                zero_copy_batch=True),
                 how,
             )
-            _tick("canon_dedup_lazy")
             mirror = True
         elif dedup is not None:
             ds = dedup_edges(ds, dedup)
@@ -966,7 +945,6 @@ class Graph:
             split_degree_threshold=split_degree_threshold,
             mirror=mirror,
         )
-        _tick("partition_write")
 
         # edge count from parquet metadata (no data read)
         import pyarrow.dataset as pads

@@ -45,12 +45,8 @@ def coalesce_for_exchange(ds, num_buckets: int):
     (``target_num_rows_per_block`` repartition was measured slower than
     the plain count-based coalesce at this Ray version.)
     """
-    import os
-
     import ray
 
-    if os.environ.get("RAYGRAPH_NO_COALESCE"):  # A/B kill-switch
-        return ds
     tgt = max(num_buckets, int(ray.cluster_resources().get("CPU", num_buckets)))
     return ds.repartition(tgt, shuffle=False)
 

@@ -22,6 +22,14 @@ iteration (SURVEY.md §7.3.1).  Workers here read their partitions once
 (from the graph's hash-partitioned parquet), hold them as numpy columns, and
 only the small message tables move per superstep.
 
+Two executors run the same ``PartitionWorker`` kernels.  The actor pool
+holds W workers and passes messages as object refs.  The in-driver
+executor holds one worker (W=1, packed exchange) in the driver and calls
+it directly; :func:`get` lets the same receive code take either refs or
+values.  The small-graph gates of BFS, SSSP and LPA pick the in-driver
+executor, so a small graph pays no actor round-trips or object-store
+copies, and there is no second, hand-written kernel to keep in step.
+
 Scale/skew notes:
 * Messages are combined per worker before the exchange (block-local
   pre-aggregation), so per-iteration traffic is O(distinct dst per worker),
@@ -65,6 +73,29 @@ def ref_list(refs, n: int):
     return [refs] if n == 1 else refs
 
 
+def get(x):
+    """``ray.get`` for an ObjectRef or a list of them; any other value is
+    returned unchanged.  The in-driver executor calls worker methods
+    directly, so its "refs" are already the values."""
+    if isinstance(x, ray.ObjectRef) or (
+            isinstance(x, list) and x and isinstance(x[0], ray.ObjectRef)):
+        return ray.get(x)
+    return x
+
+
+def gate_executor(graph, num_workers, checkpoint_dir, resume,
+                  local_edge_limit) -> str:
+    """The small-graph gate of the engine-backed algorithms: run the engine
+    in the driver unless the graph is past ``local_edge_limit`` (or 2M
+    vertices) or the caller pinned the actor pool (``num_workers=``,
+    checkpointing or resume)."""
+    if (num_workers is None and checkpoint_dir is None and not resume
+            and graph.num_edges <= local_edge_limit
+            and graph.num_vertices <= 2_000_000):
+        return "driver"
+    return "actors"
+
+
 def segmented_cumsum(w: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """Per-segment prefix sums of ``w`` (segment i is
     ``w[offs[i]:offs[i+1]]``), bit-identical to running ``np.cumsum`` on
@@ -92,9 +123,12 @@ def segmented_cumsum(w: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return out
 
 
-@ray.remote
 class PartitionWorker:
     """Holds a set of graph partitions (CSR blocks) + the vertex state they own.
+
+    A plain class: the actor pool runs it as ``ray.remote(PartitionWorker)``
+    and the in-driver executor holds one instance directly
+    (:class:`_DriverHandle`), so both executors run the same kernels.
 
     Worker ``wid`` of ``W`` owns graph partitions {p : p % W == wid} and the
     vertex ids v with part_of_vertex(v, P) in that set — so the src endpoint
@@ -348,7 +382,7 @@ class PartitionWorker:
         inverse) is static across supersteps and cached per receiver; the
         mandatory vid-ful round 0 builds it, vid-free rounds reuse it.
         """
-        msgs = ray.get(list(msg_refs))
+        msgs = get(list(msg_refs))
         vids_list = [m[0] for m in msgs]
         parts = [np.asarray(m[1], dtype=np.float64) for m in msgs]
         tb = self._tree_bytes
@@ -426,7 +460,7 @@ class PartitionWorker:
         return out[0] if self.W == 1 else out
 
     def apply_mirror_values(self, name: str, value_refs):
-        vals = ray.get(list(value_refs))
+        vals = get(list(value_refs))
         dtype = next((v.dtype for v in vals if hasattr(v, "dtype")), np.float64)
         full = np.zeros(self.n_mirror, dtype=dtype)
         for q in range(self.W):
@@ -602,7 +636,7 @@ class PartitionWorker:
     def pagerank_init_collect(self, nstart, personalization, msg_refs):
         """Split-graph init 2/3: owners sum foreign partials into their
         out_wsum, then init pr state."""
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         ows = self._ows_ext[: self.n_owned].copy()
         for msgs in all_msgs:
             vids, vals = self._take_mine(msgs)
@@ -651,7 +685,7 @@ class PartitionWorker:
         messages (4-tuple with offsets — slice ours out) or sliced ones
         (3-tuple already ours); ``bytes_in`` counts what this worker
         actually deserialized."""
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         gather = np.zeros(self.n_owned)
         rows_in = 0
         bytes_in = 0
@@ -708,7 +742,7 @@ class PartitionWorker:
     def gather_into(self, name: str, msg_refs, alpha: float = 1.0, beta: float = 0.0,
                     scale: float = 1.0):
         """state[name] ← scale·(alpha·gather + beta); returns l1 vs old."""
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         gather = np.zeros(self.n_owned)
         rows_in = 0
         lo, hi = self.wid, self.wid + 1
@@ -928,7 +962,7 @@ class PartitionWorker:
     def apply_dst_values(self, name: str, value_refs):
         """Install served dst values into a dense per-dst_unique array
         (dtype follows the served state — int64/bool survive the trip)."""
-        vals = ray.get(list(value_refs))
+        vals = get(list(value_refs))
         dtype = next((v.dtype for v in vals if hasattr(v, "dtype")), np.float64)
         full = np.zeros(len(self.dst_unique), dtype=dtype)
         for q in range(self.W):
@@ -979,7 +1013,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def cc_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         labels = self.state["labels"]
         incoming = np.full(self.n_owned, np.iinfo(np.int64).max, dtype=np.int64)
         rows_in = 0
@@ -1047,7 +1081,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def bfs_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         packed = self.state["bfs"]
         incoming = np.full(self.n_owned, self._UNREACHED, dtype=np.int64)
         rows_in = 0
@@ -1118,7 +1152,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def sssp_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         dist = self.state["dist"]
         pred = self.state["pred"]
         rows_in = 0
@@ -1168,7 +1202,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def lpa_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         mine = [self._take_mine(m) for m in all_msgs]
         vids = np.concatenate([m[0] for m in mine]) if mine else np.empty(0, np.int64)
         labs = np.concatenate([m[1] for m in mine]) if mine else np.empty(0, np.int64)
@@ -1235,7 +1269,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def scc_trim_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         indeg = np.zeros(self.n_owned, dtype=np.int64)
         rows_in = 0
         for msgs in all_msgs:
@@ -1291,7 +1325,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def scc_color_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         act = self.state["scc_active"]
         color = self.state["scc_color"]
         incoming = np.full(self.n_owned, np.iinfo(np.int64).max, dtype=np.int64)
@@ -1406,7 +1440,7 @@ class PartitionWorker:
 
     def bc_forward_update(self, level: int, msg_refs):
         """Vertices still unreached get dist=level, sigma=Σ partials."""
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         dist = self.state["bc_dist"]
         sigma = self.state["bc_sigma"]
         inc = np.zeros(self.n_owned)
@@ -1506,7 +1540,7 @@ class PartitionWorker:
         return out, {"rows_out": rows_out, "bytes_out": bytes_out}
 
     def msbfs_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         self._msbfs_level += 1
         inc = np.zeros(self.n_owned, dtype=np.uint64)
         rows_in = 0
@@ -1574,7 +1608,7 @@ class PartitionWorker:
 
     def tri_apply_adj(self, ids_per_sender, served_refs):
         """Install fetched adjacency as (sorted ids, offsets, flat)."""
-        served = ray.get(list(served_refs))
+        served = get(list(served_refs))
         ids = np.concatenate(ids_per_sender) if ids_per_sender else np.array([], np.int64)
         counts = np.concatenate([s[0] for s in served]) if served else np.array([], np.int64)
         flat = np.concatenate([s[1] for s in served]) if served else np.array([], np.int64)
@@ -1603,9 +1637,6 @@ class PartitionWorker:
         bound the in-flight candidate array).  Returns per-owner partial
         (vid, count) messages for remote corners; owned corners are
         accumulated directly into state['tri']."""
-        import sys as _sys
-        import time as _time
-        _t0 = _time.perf_counter()
         E = len(self._tri_src)
         tri = self.state["tri"]
         V = np.int64(self.V)
@@ -1616,7 +1647,6 @@ class PartitionWorker:
         # fetched-adjacency slice per edge dst
         vidx = np.searchsorted(self._adj_ids, self._tri_dst)
         # composite-sorted key array over the fetched adjacency
-        _t1 = _time.perf_counter()
         adj_slice = np.repeat(
             np.arange(len(self._adj_ids), dtype=np.int64),
             np.diff(self._adj_off),
@@ -1628,7 +1658,6 @@ class PartitionWorker:
             adj_key = adj_slice * K + self._adj_rank
         else:
             adj_key = adj_slice * V + self._adj_flat
-        _t2 = _time.perf_counter()
         remote_v, remote_c = [], []
         pos0 = 0
         while pos0 < E:
@@ -1672,7 +1701,6 @@ class PartitionWorker:
             remote_v.append(np.concatenate([self._tri_dst[pos0:pos1], w_v]))
             remote_c.append(np.concatenate([m, np.ones(len(w_v), np.int64)]))
             pos0 = pos1
-        _t3 = _time.perf_counter()
         if remote_v:
             rv = np.concatenate(remote_v)
             rc = np.concatenate(remote_c)
@@ -1690,15 +1718,6 @@ class PartitionWorker:
         out = [(uv[owner == q], uc[owner == q]) for q in range(self.W)]
         if self.W == 1:
             out = out[0]  # bare payload at W==1 (see serve_dst_values)
-        if os.environ.get("RAYGRAPH_TRI_DEBUG"):
-            print(
-                f"TRIW worker E={E} cand={int(d.sum())} "
-                f"adjA={len(adj_key)} "
-                f"setup={_t1 - _t0:.2f} key={_t2 - _t1:.2f} "
-                f"loop={_t3 - _t2:.2f} tail={_time.perf_counter() - _t3:.2f} "
-                f"sec={_time.perf_counter() - _t0:.2f}",
-                file=_sys.stderr,
-            )
         return out
 
     def tri_collect(self, *partials):
@@ -1777,7 +1796,7 @@ class PartitionWorker:
                      "bytes_out": bytes_out}
 
     def core_peel_update(self, msg_refs):
-        all_msgs = ray.get(list(msg_refs))
+        all_msgs = get(list(msg_refs))
         alive = self.state["core_alive"]
         deg = self.state["core_deg"]
         dec = np.zeros(self.n_owned, dtype=np.int64)
@@ -2135,6 +2154,35 @@ class PartitionWorker:
         return len(ids)
 
 
+class _DriverMethod:
+    """One worker method behind the actor call surface: ``.remote(...)``
+    runs it at once and returns its value; ``.options(...)`` changes
+    nothing (a ``num_returns=n`` method already returns its n values as
+    one tuple, which callers index like the list of refs Ray returns)."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def remote(self, *args, **kw):
+        return self._fn(*args, **kw)
+
+    def options(self, **_):
+        return self
+
+
+class _DriverHandle:
+    """A :class:`PartitionWorker` held in the driver, called through the
+    same ``h.method.remote(...)`` surface as an actor handle."""
+
+    def __init__(self, worker: PartitionWorker):
+        self._worker = worker
+
+    def __getattr__(self, name):
+        return _DriverMethod(getattr(self._worker, name))
+
+
+_RemoteWorker = ray.remote(PartitionWorker)
+
 # Idle PartitionWorker processes kept warm across engines, per Ray session.
 # Keyed by (job id, driver node id): a fresh local cluster reuses job id 1,
 # but not the node id, so handles from an earlier ``ray.init`` are dropped.
@@ -2153,7 +2201,13 @@ def _idle_workers() -> list:
 
 
 class SuperstepEngine:
-    """Driver-side BSP loop + checkpoint/lineage/resume over PartitionWorkers."""
+    """Driver-side BSP loop + checkpoint/lineage/resume over PartitionWorkers.
+
+    ``executor="actors"`` (default) runs W ``PartitionWorker`` actors from
+    the warm pool.  ``executor="driver"`` runs one worker (W=1, packed
+    exchange) inside the driver: the same kernels with direct calls and
+    no object store — the executor the small-graph gates pick.
+    """
 
     @staticmethod
     def _alive_nodes() -> int:
@@ -2190,7 +2244,15 @@ class SuperstepEngine:
     def __init__(self, graph, num_workers: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None, checkpoint_every: int = 1,
                  exchange_mode: Optional[str] = None,
-                 wide_keys: Optional[bool] = None):
+                 wide_keys: Optional[bool] = None,
+                 executor: str = "actors"):
+        if executor not in ("actors", "driver"):
+            raise ValueError(f"unknown executor {executor!r}")
+        if executor == "driver":
+            if num_workers not in (None, 1):
+                raise ValueError("the driver executor runs one worker")
+            num_workers, exchange_mode = 1, "packed"
+        self.executor = executor
         self.graph = graph
         P = graph.num_partitions
         if num_workers is None:
@@ -2247,6 +2309,13 @@ class SuperstepEngine:
             env = os.environ.get("RAYGRAPH_WIDE_KEYS")
             wide_keys = bool(int(env)) if env is not None else None
         self.wide_keys = wide_keys
+        if executor == "driver":
+            self.part2worker = np.zeros(P, dtype=np.int64)
+            self.workers = [_DriverHandle(PartitionWorker(
+                graph.base_dir, 0, 1, P, graph.num_vertices,
+                part2worker=self.part2worker, wide_keys=wide_keys,
+            ))]
+            return
         self.part2worker = self._balanced_assignment(graph, P, self.W)
 
         def load(wid, worker=None):
@@ -2257,7 +2326,7 @@ class SuperstepEngine:
                 return worker, worker.reload.remote(*args, **kw)
             # zero-CPU reservation: idle pooled workers hold no CPUs, and a
             # live pool never starves Dataset tasks of scheduling slots
-            worker = PartitionWorker.options(
+            worker = _RemoteWorker.options(
                 num_cpus=0, scheduling_strategy="SPREAD"
             ).remote(*args, **kw)
             return worker, worker.info.remote()
@@ -2324,7 +2393,7 @@ class SuperstepEngine:
         if not self.checkpoint_dir:
             return
         it_dir = os.path.join(self.checkpoint_dir, algo, f"iter={iteration:06d}")
-        written = ray.get(
+        written = get(
             [w.write_state.remote(it_dir, names) for w in self.workers]
         )
         per_part = {p: n for wlist in written for p, n in wlist}
@@ -2343,7 +2412,7 @@ class SuperstepEngine:
 
     def _restore(self, algo: str, iteration: int, names):
         it_dir = os.path.join(self.checkpoint_dir, algo, f"iter={iteration:06d}")
-        ray.get([w.load_state.remote(it_dir, names) for w in self.workers])
+        get([w.load_state.remote(it_dir, names) for w in self.workers])
 
     # -- generic BSP round ------------------------------------------------
     def _exchange(self, scatter_name: str, update_name: str, update_args=(),
@@ -2372,7 +2441,7 @@ class SuperstepEngine:
                 )
                 for w in self.workers
             ]
-            scatter_stats = ray.get([o[W] for o in outs])
+            scatter_stats = get([o[W] for o in outs])
             upd = [
                 getattr(self.workers[q], update_name).remote(
                     *update_args, [outs[s][q] for s in range(W)]
@@ -2385,24 +2454,24 @@ class SuperstepEngine:
                 for w in self.workers
             ]
             msg_refs = [o[0] for o in outs]
-            scatter_stats = ray.get([o[1] for o in outs])
+            scatter_stats = get([o[1] for o in outs])
             upd = [
                 getattr(self.workers[q], update_name).remote(*update_args, msg_refs)
                 for q in range(self.W)
             ]
-        update_stats = ray.get(upd)
+        update_stats = get(upd)
         return scatter_stats, update_stats
 
     # -- mirror wiring (split high-degree graphs) ------------------------
     def wire_mirrors(self) -> bool:
         """Register the mirror-src fetch routes; returns True if any worker
         holds foreign-src (split) edges."""
-        counts = ray.get([w.mirror_count.remote() for w in self.workers])
+        counts = get([w.mirror_count.remote() for w in self.workers])
         self.has_mirrors = any(counts)
         if not self.has_mirrors:
             return False
-        needed = ray.get([w.mirror_ids_by_owner.remote() for w in self.workers])
-        ray.get(
+        needed = get([w.mirror_ids_by_owner.remote() for w in self.workers])
+        get(
             [
                 self.workers[p].register_mirror_requests.remote(
                     [needed[q][p] for q in range(self.W)]
@@ -2422,7 +2491,7 @@ class SuperstepEngine:
             )
             for w in self.workers
         ]
-        ray.get(
+        get(
             [
                 self.workers[q].apply_mirror_values.remote(
                     name, [served[p][q] for p in range(self.W)]
@@ -2542,7 +2611,7 @@ class SuperstepEngine:
         pays one spin-up instead of three.  Static caches (receive
         positions, packed scatter layout, mirror wiring) stay valid because
         the routing is a property of the graph, not the algorithm."""
-        ray.get([w.reset_state.remote() for w in self.workers])
+        get([w.reset_state.remote() for w in self.workers])
         return self
 
     def shutdown(self):
@@ -2551,8 +2620,11 @@ class SuperstepEngine:
         and imports again.  ``release`` frees each worker's graph and state;
         actor task order runs it after everything already submitted.  At
         most the cluster's CPU count of processes stay idle; extras are
-        killed.
+        killed.  The driver executor's worker is simply dropped.
         """
+        if self.executor == "driver":
+            self.workers = []
+            return
         cap = int(ray.cluster_resources().get("CPU", 0))
         with _IDLE_LOCK:
             idle = _idle_workers()
@@ -2581,7 +2653,7 @@ class SuperstepEngine:
             out_dir = os.path.join(
                 tempfile.gettempdir(), "raygraph", f"result-{uuid.uuid4().hex[:12]}"
             )
-        ray.get([w.write_state.remote(out_dir, names) for w in self.workers])
+        get([w.write_state.remote(out_dir, names) for w in self.workers])
         if not getattr(self, "_keep_alive", False):
             self.shutdown()
         # driver-side footer fetch: the default provider's remote metadata

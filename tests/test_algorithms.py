@@ -420,6 +420,12 @@ def test_split_graph_iterative_family_matches_unsplit(tmp_path):
 
     def run_all(g):
         out = {}
+        # the gated call: the in-driver engine, one worker, no mirrors
+        out["lpa_gate"] = label_propagation(g, max_iter=10).to_pandas().sort_values("vertex")["label"].to_numpy()
+        b = bfs(g, 0).to_pandas().sort_values("vertex")
+        out["bfs_gate_d"] = b["distance"].to_numpy()
+        out["bfs_gate_p"] = b["predecessor"].to_numpy()
+        out["sssp_gate"] = sssp(g, 0).to_pandas().sort_values("vertex")["distance"].to_numpy()
         out["wcc"] = weakly_connected_components(g, num_workers=3).to_pandas().sort_values("vertex")["labels"].to_numpy()
         out["lpa"] = label_propagation(g, max_iter=10, num_workers=3).to_pandas().sort_values("vertex")["label"].to_numpy()
         b = bfs(g, 0, num_workers=3).to_pandas().sort_values("vertex")
@@ -432,9 +438,10 @@ def test_split_graph_iterative_family_matches_unsplit(tmp_path):
         return out
 
     a, b = run_all(g_un), run_all(g_sp)
-    for k in ("wcc", "lpa", "bfs_d", "bfs_p"):
+    for k in ("wcc", "lpa", "bfs_d", "bfs_p",
+              "lpa_gate", "bfs_gate_d", "bfs_gate_p"):
         assert np.array_equal(a[k], b[k]), k
-    for k in ("sssp", "katz", "eig"):
+    for k in ("sssp", "sssp_gate", "katz", "eig"):
         assert np.allclose(a[k], b[k], atol=1e-9), k
 
 
@@ -766,20 +773,82 @@ def test_scc_local_matches_engine(tmp_path):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_lpa_local_gate_matches_engine(tmp_path):
-    """The driver-local LPA replica must make identical decisions to the
-    engine rounds (exact integral weight sums on karate)."""
-    df = fixtures.karate_df()
-    g = build(df, False, tmp_path, "klpaloc")
-    loc = (
-        label_propagation(g, max_iter=15)  # gate: local
-        .to_pandas().sort_values("vertex")["label"].to_numpy()
-    )
-    eng = (
-        label_propagation(g, max_iter=15, num_workers=4)  # pinned engine
-        .to_pandas().sort_values("vertex")["label"].to_numpy()
-    )
-    assert np.array_equal(loc, eng)
+@pytest.mark.parametrize("exchange", ["packed", "sliced"])
+@pytest.mark.parametrize("graph_name", ["karate", "random"])
+@pytest.mark.parametrize("algo", ["bfs", "sssp", "lpa"])
+def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
+                              monkeypatch):
+    """One kernel, two executors: the small-graph gate runs the engine in
+    the driver, and its output is bit-identical to the actor pool at W=1
+    and W=3 in either exchange mode.  The gated call starts no actor and
+    leaves the idle pool alone; ``local_edge_limit=0`` takes the pool."""
+    from raygraph import superstep
+    from raygraph.algos.traversal import bfs, sssp
+    from raygraph.superstep import SuperstepEngine
+
+    if graph_name == "karate":
+        df, directed = fixtures.karate_df(), False
+    else:
+        rng = np.random.RandomState(11)
+        src, dst = rng.randint(0, 60, 300), rng.randint(0, 60, 300)
+        keep = src != dst
+        df = pd.DataFrame({
+            "src": src[keep], "dst": dst[keep],
+            "weight": rng.randint(1, 5, keep.sum()).astype(float),
+        }).drop_duplicates(["src", "dst"])
+        directed = algo != "lpa"  # LPA needs a symmetrized graph
+    g = build(df, directed, tmp_path, "g")
+    run = {
+        "bfs": lambda **kw: bfs(g, 0, **kw),
+        "sssp": lambda **kw: sssp(g, 0, **kw),
+        "lpa": lambda **kw: label_propagation(g, max_iter=15, **kw),
+    }[algo]
+
+    def result(**kw):
+        return run(**kw).to_pandas().sort_values("vertex").reset_index(
+            drop=True)
+
+    engines = []  # (executor, every worker is an actor) per engine
+    init = SuperstepEngine.__init__
+
+    def spy(self, *a, **kw):
+        init(self, *a, **kw)
+        engines.append((self.executor, all(
+            isinstance(w, ray.actor.ActorHandle) for w in self.workers)))
+
+    spawned = []
+    remote_worker = superstep._RemoteWorker
+
+    class SpawnSpy:
+        def options(self, **kw):
+            spawned.append(kw)
+            return remote_worker.options(**kw)
+
+    monkeypatch.setattr(SuperstepEngine, "__init__", spy)
+    monkeypatch.setattr(superstep, "_RemoteWorker", SpawnSpy())
+    monkeypatch.setenv("RAYGRAPH_EXCHANGE", exchange)
+
+    idle = [w._actor_id for w in superstep._idle_workers()]
+    got = result()
+    assert engines == [("driver", False)]
+    assert spawned == []
+    assert [w._actor_id for w in superstep._idle_workers()] == idle
+
+    for W in (1, 3):
+        pd.testing.assert_frame_equal(got, result(num_workers=W),
+                                      check_exact=True)
+    pd.testing.assert_frame_equal(got, result(local_edge_limit=0),
+                                  check_exact=True)
+    assert engines[1:] == [("actors", True)] * 3
+    assert superstep._idle_workers()
+
+    if algo == "lpa":
+        e = g.edges_dataset(columns=["src", "dst", "weight"]).to_pandas()
+        want = oracles.ref_lpa(
+            (e["src"].to_numpy(), e["dst"].to_numpy(), e["weight"].to_numpy()),
+            g.num_vertices, max_iter=15,
+        )
+        assert np.array_equal(got["label"].to_numpy(), want)
 
 
 def test_betweenness_local_gate_matches_engine(tmp_path):

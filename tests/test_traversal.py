@@ -192,21 +192,3 @@ def test_multi_source_bfs_depth_limit(karate):
     assert (c[f <= 1] == f[f <= 1]).all()
     assert (c[f > 1] == -1).all()
 
-
-def test_bfs_sssp_local_gate_matches_engine(karate):
-    """Driver-local BFS/SSSP replicas make identical (distance,
-    predecessor) choices to the engine rounds (min-pred packing / strict
-    Bellman-Ford improvement)."""
-    from raygraph.algos.traversal import sssp
-
-    for fn, kw in ((bfs, {}), (sssp, {})):
-        loc = (fn(karate, 0, **kw).to_pandas()
-               .sort_values("vertex").reset_index(drop=True))
-        eng = (fn(karate, 0, local_edge_limit=0, **kw).to_pandas()
-               .sort_values("vertex").reset_index(drop=True))
-        assert np.array_equal(
-            loc["distance"].to_numpy(), eng["distance"].to_numpy()
-        ), fn.__name__
-        assert np.array_equal(
-            loc["predecessor"].to_numpy(), eng["predecessor"].to_numpy()
-        ), fn.__name__
