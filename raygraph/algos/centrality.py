@@ -23,7 +23,7 @@ from typing import Optional
 import ray
 
 from raygraph.algos.pagerank import ConvergenceError
-from raygraph.superstep import SuperstepEngine, ref_list
+from raygraph.superstep import SuperstepEngine, gate_executor, get, ref_list
 
 
 def _result(engine, src_name, out_name, out_dir=None):
@@ -233,8 +233,8 @@ def _brandes_sweep(engine, sources, edge_acc: bool = False):
     the resident per-edge 'ebc' state (edge betweenness); the vertex path
     folds delta into 'bc' via ``bc_accumulate`` instead."""
     W = engine.W
-    needed = ray.get([w.needed_dst_ids.remote() for w in engine.workers])
-    ray.get(
+    needed = get([w.needed_dst_ids.remote() for w in engine.workers])
+    get(
         [
             engine.workers[p].register_requests.remote(
                 [needed[q][p] for q in range(W)]
@@ -248,7 +248,7 @@ def _brandes_sweep(engine, sources, edge_acc: bool = False):
             ref_list(w.serve_dst_values.options(num_returns=W).remote(name), W)
             for w in engine.workers
         ]
-        ray.get(
+        get(
             [
                 engine.workers[q].apply_dst_values.remote(
                     name, [served[p][q] for p in range(W)]
@@ -258,7 +258,7 @@ def _brandes_sweep(engine, sources, edge_acc: bool = False):
         )
 
     for s in sources.tolist():
-        ray.get([w.bc_source_init.remote(s) for w in engine.workers])
+        get([w.bc_source_init.remote(s) for w in engine.workers])
         level = 0
         while True:
             level += 1
@@ -271,76 +271,16 @@ def _brandes_sweep(engine, sources, edge_acc: bool = False):
         fetch("bc_dist")
         fetch("bc_sigma")
         maxd = max(
-            ray.get([w.bc_backward_init.remote() for w in engine.workers])
+            get([w.bc_backward_init.remote() for w in engine.workers])
         )
         for lv in range(maxd, 0, -1):
             fetch("bc_delta")
-            ray.get(
+            get(
                 [w.bc_backward_level.remote(lv, edge_acc)
                  for w in engine.workers]
             )
         if not edge_acc:
-            ray.get([w.bc_accumulate.remote(s) for w in engine.workers])
-
-
-def _bc_local(graph, sources, edge_acc: bool = False):
-    """Driver-local Brandes for small graphs: per-source vectorized BFS
-    over a CSR of the stored edge rows + reverse-level dependency sweep
-    (edge contributions credited to the stored row, as the engine does).
-    Returns (bc[V], ebc[E], src, dst) — raw sums, caller rescales."""
-    import numpy as np
-
-    V = graph.num_vertices
-    df = graph.edges_dataset(columns=["src", "dst"]).to_pandas()
-    src = df["src"].to_numpy(np.int64)
-    dst = df["dst"].to_numpy(np.int64)
-    E = len(src)
-    order = np.argsort(src, kind="stable")
-    nbr = dst[order]
-    indptr = np.zeros(V + 1, np.int64)
-    indptr[1:] = np.cumsum(np.bincount(src, minlength=V))
-    bc = np.zeros(V)
-    ebc = np.zeros(E) if edge_acc else None
-    for s in sources:
-        dist = np.full(V, -1, np.int64)
-        dist[int(s)] = 0
-        sigma = np.zeros(V)
-        sigma[int(s)] = 1.0
-        cur = np.array([int(s)], dtype=np.int64)
-        level = 0
-        while len(cur):
-            p0 = indptr[cur]
-            deg = indptr[cur + 1] - p0
-            tot = int(deg.sum())
-            if tot == 0:
-                break
-            idx = np.repeat(p0, deg) + (
-                np.arange(tot) - np.repeat(np.cumsum(deg) - deg, deg)
-            )
-            tails = np.repeat(cur, deg)
-            heads = nbr[idx]
-            new_heads = np.unique(heads[dist[heads] == -1])
-            dist[new_heads] = level + 1
-            m = dist[heads] == level + 1
-            np.add.at(sigma, heads[m], sigma[tails[m]])
-            cur = new_heads
-            level += 1
-        delta = np.zeros(V)
-        pe = np.flatnonzero((dist[src] >= 0) & (dist[dst] == dist[src] + 1))
-        if len(pe):
-            lv = dist[dst[pe]]
-            for L in range(int(lv.max()), 0, -1):
-                sel = pe[lv == L]
-                contrib = (
-                    sigma[src[sel]] / sigma[dst[sel]]
-                    * (1.0 + delta[dst[sel]])
-                )
-                np.add.at(delta, src[sel], contrib)
-                if edge_acc:
-                    ebc[sel] += contrib
-        delta[int(s)] = 0.0
-        bc += delta
-    return bc, ebc, src, dst
+            get([w.bc_accumulate.remote(s) for w in engine.workers])
 
 
 def betweenness_centrality(graph, k: Optional[int] = None, sources=None,
@@ -360,10 +300,10 @@ def betweenness_centrality(graph, k: Optional[int] = None, sources=None,
     directed and undirected graphs; unnormalized undirected output is
     halved instead; the V/|S| sample-extrapolation factor applies whenever
     a rescale happened (normalized, or unnormalized-undirected).
+    Graphs with ≤ ``local_edge_limit`` edges run the same engine in the
+    driver (:func:`raygraph.superstep.gate_executor`).
     Output: Dataset (vertex, betweenness_centrality).
     """
-    import numpy as np
-
     V = graph.num_vertices
     sources = _bc_select_sources(V, k, sources, seed)
 
@@ -379,32 +319,17 @@ def betweenness_centrality(graph, k: Optional[int] = None, sources=None,
     if rescaled and len(sources) < V:
         scale *= V / len(sources)
 
-    # driver-side Brandes replica, kept until the engine's per-source
-    # superstep loop has been measured against it in the driver
-    if (num_workers is None and graph.num_edges <= local_edge_limit
-            and V <= 2_000_000):
-        import pandas as pd
-        import ray.data as rd
-
-        bc, _, _, _ = _bc_local(graph, sources)
-        out = rd.from_pandas(
-            pd.DataFrame(
-                {"vertex": np.arange(V, dtype=np.int64),
-                 "betweenness_centrality": bc * scale}
-            )
-        )
-        if out_dir is not None:
-            out.write_parquet(out_dir)
-            out = rd.read_parquet(out_dir)
-        return out
-
-    engine = SuperstepEngine(graph, num_workers=num_workers)
+    engine = SuperstepEngine(
+        graph, num_workers=num_workers,
+        executor=gate_executor(graph, num_workers, None, False,
+                               local_edge_limit),
+    )
     try:
-        ray.get([w.bc_init.remote() for w in engine.workers])
+        get([w.bc_init.remote() for w in engine.workers])
         _brandes_sweep(engine, sources)
 
         if scale != 1.0:
-            ray.get([w.scale_state.remote("bc", scale) for w in engine.workers])
+            get([w.scale_state.remote("bc", scale) for w in engine.workers])
         ds = engine.result_dataset(["bc"], out_dir=out_dir)
         import pyarrow as pa
 
@@ -438,8 +363,6 @@ def edge_betweenness_centrality(graph, k: Optional[int] = None, sources=None,
     extrapolation is applied for edges.  Output: (src, dst,
     betweenness_centrality) over the stored edge list (both directions for
     undirected graphs, as the reference returns)."""
-    import numpy as np
-
     V = graph.num_vertices
     sources = _bc_select_sources(V, k, sources, seed)
 
@@ -450,32 +373,16 @@ def edge_betweenness_centrality(graph, k: Optional[int] = None, sources=None,
     elif not graph.directed:
         scale *= 0.5
 
-    # driver replica kept for the reason given in betweenness_centrality
-    if (num_workers is None and graph.num_edges <= local_edge_limit
-            and V <= 2_000_000):
-        import pandas as pd
-        import ray.data as rd
-
-        _, ebc, e_src, e_dst = _bc_local(graph, sources, edge_acc=True)
-        out = rd.from_pandas(
-            pd.DataFrame(
-                {"src": e_src, "dst": e_dst,
-                 "betweenness_centrality": ebc * scale}
-            )
-        )
-        if out_dir is not None:
-            out.write_parquet(out_dir)
-            out = rd.read_parquet(out_dir)
-        return out
-
-    engine = SuperstepEngine(graph, num_workers=num_workers)
+    engine = SuperstepEngine(
+        graph, num_workers=num_workers,
+        executor=gate_executor(graph, num_workers, None, False,
+                               local_edge_limit),
+    )
     try:
-        ray.get([w.ebc_init.remote() for w in engine.workers])
+        get([w.ebc_init.remote() for w in engine.workers])
         _brandes_sweep(engine, sources, edge_acc=True)
         if scale != 1.0:
-            ray.get(
-                [w.scale_state.remote("ebc", scale) for w in engine.workers]
-            )
+            get([w.scale_state.remote("ebc", scale) for w in engine.workers])
         ds = engine.edge_result_dataset(["ebc"], out_dir=out_dir)
         import pyarrow as pa
 

@@ -29,7 +29,7 @@ from raygraph.superstep import SuperstepEngine, ref_list
 
 def weakly_connected_components(
     graph,
-    max_iter: int = 1000,
+    max_iter: Optional[int] = None,
     num_workers: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 1,
@@ -44,6 +44,10 @@ def weakly_connected_components(
     with ``directed=False`` (the reference symmetrizes on construction,
     ``simpleGraph.py:215-229``).
 
+    ``max_iter``: superstep bound of the engine path; None means V + 1,
+    which the min-label fixpoint never needs more than (one superstep per
+    hop of the longest shortest path, plus the one that sees no change).
+
     ``engine=``: reuse a caller-held engine over the same graph (one
     actor-pool spin-up for several algorithms); the caller owns shutdown.
     """
@@ -56,7 +60,7 @@ def weakly_connected_components(
     # the partition — so the local relax gives identical output.  It is a
     # different algorithm from the engine's, kept on purpose: pointer
     # jumping settles a 3,000-vertex path in 0.12 s, where the engine's
-    # one-hop-per-superstep fixpoint runs out of its 1000 supersteps
+    # fixpoint needs one superstep per hop
     if (engine is None and num_workers is None and checkpoint_dir is None
             and not resume and graph.num_edges <= local_edge_limit
             and graph.num_vertices <= 2_000_000):
@@ -94,6 +98,8 @@ def weakly_connected_components(
             raise ValueError("engine= was built over a different graph")
         engine._keep_alive = True  # result is a lazy handle; caller shuts down
         engine.reset()
+    if max_iter is None:
+        max_iter = graph.num_vertices + 1
     try:
         return _run(engine, max_iter, checkpoint_dir, resume, out_dir)
     finally:

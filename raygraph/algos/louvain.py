@@ -36,11 +36,16 @@ Community ids are **label values in the vertex-id domain** (a community
 is named by one of its members), identically in both backends, so the
 numpy fast path and the Dataset path make bit-identical decisions
 (tie-breaks order by label, move parity hashes the original vertex id)
-and ``louvain(g) == louvain(g, local_edge_limit=0)`` exactly.  Levels
-with ≤ ``local_edge_limit`` edges (default 5M) drop to a driver-local
-numpy fast path whose arrays are sized by the level's ACTIVE vertex count
-(≤ 2·edges — sparse/huge vertex ids are compacted through one
-``np.unique``), never by the original graph's V.
+and ``louvain(g) == louvain(g, local_edge_limit=0)`` exactly.
+
+Each backend has ONE level loop, shared by Louvain and Leiden: Louvain
+is Leiden without the refinement step (:func:`_levels_local` on driver
+arrays, :func:`_levels_ds` on Datasets).  The Dataset loop hands the rest
+of the hierarchy to the array loop as soon as a level has ≤
+``local_edge_limit`` edges (default 5M) — at entry or after any
+contraction.  The array loop's sizes follow the level's ACTIVE vertex
+count (≤ 2·edges — sparse/huge vertex ids are compacted through one
+``np.unique``), never the original graph's V.
 """
 
 from __future__ import annotations
@@ -729,7 +734,7 @@ def _finish(A):
 
 
 # --------------------------------------------------------------------------
-# public API
+# the level loop, one per backend — Louvain is Leiden without refinement
 # --------------------------------------------------------------------------
 
 def _apply_map_local(cur, active, new_labels):
@@ -744,103 +749,189 @@ def _apply_map_local(cur, active, new_labels):
     return out
 
 
-def _louvain_local_full(level_edges, m2, max_levels, max_inner, resolution,
-                        min_gain, parity_salt):
-    """Entire level loop on driver arrays, for graphs whose ENTRY edge
-    count is under the local gate (contraction only shrinks it).  Same
-    decisions as the per-level local branch — identical helpers, same
-    contraction packing, same edge-row order — minus the per-level
-    Dataset round-trips (compose / from_pandas / materialize)."""
-    active, sc, dc, w = _local_arrays(level_edges)
-    vert0 = active
-    cur = active.copy()
-    final_q = 0.0
-    for _level in range(max_levels):
-        n = len(active)
-        k = np.bincount(sc, weights=w, minlength=n)
-        comm = active.copy()  # label = own id
-        q_cur = _modularity_local(sc, dc, w, comm, k, m2, resolution)
-        comm, q_cur, improved = _move_phase_local(
-            active, sc, dc, w, k, m2, comm, q_cur, resolution,
-            max_inner, min_gain, parity_salt,
-        )
-        final_q = q_cur
-        if not improved:
-            break
-        cur = _apply_map_local(cur, active, comm)
-        n_comm = len(np.unique(comm))
-        labels, lab_inv = np.unique(comm, return_inverse=True)
-        cs_l, cd_l = lab_inv[sc], lab_inv[dc]
-        key = cs_l.astype(np.int64) * len(labels) + cd_l
-        uk, inv = np.unique(key, return_inverse=True)
-        w = np.bincount(inv, weights=w, minlength=len(uk))
-        src = labels[(uk // len(labels)).astype(np.int64)]
-        dst = labels[(uk % len(labels)).astype(np.int64)]
-        active = np.unique(np.concatenate([src, dst]))
-        sc = np.searchsorted(active, src)
-        dc = np.searchsorted(active, dst)
-        if n_comm == n:
-            break
-    return pd.DataFrame({"vertex": vert0, "cur": cur}), float(final_q)
+def _levels_local(active, sc, dc, w, m2, max_levels, max_inner, resolution,
+                  min_gain, parity_salt, refine_inner=None, comm_init=None):
+    """The level loop on driver arrays.
 
+    Per level: phase-1 local moving from ``comm_init`` ((vertices,
+    comms) of this level) or singletons; with ``refine_inner`` set
+    (Leiden), a singleton restart whose moves stay inside the phase-1
+    communities; contraction by that refined partition; the next level
+    starts from the phase-1 communities.  With ``refine_inner=None`` the
+    refined partition is the phase-1 one and every level starts from
+    singletons — exactly Louvain.
 
-def _leiden_local_full(level_edges, m2, max_levels, max_inner, resolution,
-                       min_gain, parity_salt, refine_inner):
-    """Leiden's level loop on driver arrays under the entry gate — the
-    array mirror of the per-level local branch (phase-1 move, refinement
-    restricted to phase-1 parents, contraction by the refined
-    partition, next level seeded from phase-1 communities)."""
-    active, sc, dc, w = _local_arrays(level_edges)
-    vert0 = active
-    curA = active.copy()  # refined composition (A)
-    curP = active.copy()  # phase-1 composition (P)
-    comm_init = None      # (vertices, comms) of the contracted level
-    final_q = 0.0
-    for _level in range(max_levels):
+    Returns (cur, q): the last level's phase-1 community of each vertex
+    of ``active``, and its modularity.  Arrays are sized by the level's
+    active vertex count, never by the original graph's V."""
+    cur = active.copy()  # composition of the refined partitions so far
+    q = 0.0
+    for level in range(max_levels):
         n = len(active)
         k = np.bincount(sc, weights=w, minlength=n)
         if comm_init is None:
-            comm = active.copy()
+            comm = active.copy()  # label = own id
         else:
-            ci_v, ci_c = comm_init
             comm = np.empty(n, dtype=np.int64)
-            comm[np.searchsorted(active, ci_v)] = ci_c
-        q_cur = _modularity_local(sc, dc, w, comm, k, m2, resolution)
-        comm, q_cur, improved = _move_phase_local(
-            active, sc, dc, w, k, m2, comm, q_cur, resolution,
+            comm[np.searchsorted(active, comm_init[0])] = comm_init[1]
+        q = _modularity_local(sc, dc, w, comm, k, m2, resolution)
+        comm, q, improved = _move_phase_local(
+            active, sc, dc, w, k, m2, comm, q, resolution,
             max_inner, min_gain, parity_salt,
         )
-        final_q = q_cur
-        curP = _apply_map_local(curA, active, comm)
-        if not improved:
-            break
-        # refinement: singleton restart constrained to phase-1 comms
-        rcomm = active.copy()
-        q_ref = _modularity_local(sc, dc, w, rcomm, k, m2, resolution)
-        rcomm, q_ref, _ = _move_phase_local(
-            active, sc, dc, w, k, m2, rcomm, q_ref, resolution,
-            refine_inner, min_gain, parity_salt,
-            restrict_parent=comm, singleton_only=True,
-        )
-        curA = _apply_map_local(curA, active, rcomm)
-        # contract by the refined partition
+        phase1 = _apply_map_local(cur, active, comm)
+        if not improved or level == max_levels - 1:
+            return phase1, q
+        rcomm = comm
+        if refine_inner is not None:
+            rcomm = active.copy()
+            q_ref = _modularity_local(sc, dc, w, rcomm, k, m2, resolution)
+            rcomm, _, _ = _move_phase_local(
+                active, sc, dc, w, k, m2, rcomm, q_ref, resolution,
+                refine_inner, min_gain, parity_salt,
+                restrict_parent=comm, singleton_only=True,
+            )
         labels, lab_inv = np.unique(rcomm, return_inverse=True)
         n_ref = len(labels)
-        cs_l, cd_l = lab_inv[sc], lab_inv[dc]
-        key = cs_l.astype(np.int64) * n_ref + cd_l
+        if n_ref == n:
+            return phase1, q
+        cur = _apply_map_local(cur, active, rcomm)
+        # contract (compact label packing)
+        key = lab_inv[sc].astype(np.int64) * n_ref + lab_inv[dc]
         uk, inv = np.unique(key, return_inverse=True)
         w = np.bincount(inv, weights=w, minlength=len(uk))
-        src = labels[(uk // n_ref).astype(np.int64)]
-        dst = labels[(uk % n_ref).astype(np.int64)]
-        if n_ref == n:
-            break
-        parent_of_ref = np.empty(n_ref, dtype=np.int64)
-        parent_of_ref[lab_inv] = comm  # any member's parent
-        comm_init = (labels, parent_of_ref)
+        src, dst = labels[uk // n_ref], labels[uk % n_ref]
         active = np.unique(np.concatenate([src, dst]))
-        sc = np.searchsorted(active, src)
-        dc = np.searchsorted(active, dst)
-    return pd.DataFrame({"vertex": vert0, "cur": curP}), float(final_q)
+        sc, dc = np.searchsorted(active, src), np.searchsorted(active, dst)
+        if refine_inner is not None:
+            parent = np.empty(n_ref, dtype=np.int64)
+            parent[lab_inv] = comm  # constant within a refined community
+            comm_init = (labels, parent)
+    return cur, q
+
+
+def _as_mapping(S):
+    """Level state (vertex, comm, ...) → compose mapping (cur, new)."""
+    return S.map_batches(
+        lambda df: pd.DataFrame(
+            {"cur": df["vertex"].to_numpy(np.int64),
+             "new": df["comm"].to_numpy(np.int64)}
+        ),
+        batch_format="pandas",
+    )
+
+
+def _levels_ds(level_edges, E_level, m2, max_levels, max_inner,
+               resolution, min_gain, local_edge_limit, parity_salt,
+               num_buckets, refine_inner=None):
+    """The level loop on Datasets — same decisions as
+    :func:`_levels_local`, scalars only on the driver.  As soon as a
+    level has ≤ ``local_edge_limit`` edges (at entry, or after any
+    contraction) the rest of the hierarchy runs in
+    :func:`_levels_local`, and its result composes onto the
+    original-vertex assignment once.
+
+    Returns (assign, q): ``assign`` maps every vertex to its community —
+    a pandas (vertex, cur) frame when the whole hierarchy ran on arrays,
+    else a (vertex, cur) Dataset."""
+    from raygraph.agg import hash_aggregate
+
+    A = None             # (vertex, cur): original vertex → level vertex
+    comm_init_ds = None  # (vertex, comm) start partition; None: singletons
+    for level in range(max_levels):
+        if E_level <= local_edge_limit:
+            active, sc, dc, w = _local_arrays(level_edges)
+            comm_init = None
+            if comm_init_ds is not None:
+                ci = comm_init_ds.to_pandas()  # ≤ active rows
+                comm_init = (ci["vertex"].to_numpy(np.int64),
+                             ci["comm"].to_numpy(np.int64))
+            cur, q = _levels_local(
+                active, sc, dc, w, m2, max_levels - level, max_inner,
+                resolution, min_gain, parity_salt, refine_inner, comm_init,
+            )
+            if A is None:
+                return pd.DataFrame({"vertex": active, "cur": cur}), q
+            return _compose_assign_bcast(A, active, cur), q
+        if A is None:
+            A = _init_assign(level_edges, num_buckets)
+        S = _level_state_ds(level_edges, comm_init_ds, num_buckets)
+        q = _modularity_ds(level_edges, S, m2, resolution, num_buckets)
+        S, q, improved = _move_phase_ds(
+            level_edges, S, m2, q, resolution, max_inner, min_gain,
+            parity_salt, num_buckets=num_buckets,
+        )
+        if not improved and comm_init_ds is None:
+            return A, q  # nothing moved from singletons: S is the identity
+        S = cut_stats_lineage(S.materialize())
+        P = _compose_assign_ds(A, _as_mapping(S), num_buckets)
+        if not improved or level == max_levels - 1:
+            return P, q
+        if refine_inner is None:
+            S_ref, A = S, P
+        else:
+            # refinement state: comm = self (singletons), parent = phase-1
+            S_ref = cut_stats_lineage(
+                S.map_batches(
+                    lambda df: pd.DataFrame(
+                        {
+                            "vertex": df["vertex"].to_numpy(np.int64),
+                            "comm": df["vertex"].to_numpy(np.int64),
+                            "k": df["k"].to_numpy(np.float64),
+                            "parent": df["comm"].to_numpy(np.int64),
+                        }
+                    ),
+                    batch_format="pandas",
+                ).materialize()
+            )
+            q_ref = _modularity_ds(level_edges, S_ref, m2, resolution,
+                                   num_buckets)
+            S_ref, _, _ = _move_phase_ds(
+                level_edges, S_ref, m2, q_ref, resolution, refine_inner,
+                min_gain, parity_salt, restricted=True, singleton_only=True,
+                num_buckets=num_buckets,
+            )
+            S_ref = cut_stats_lineage(S_ref.materialize())
+            A = _compose_assign_ds(A, _as_mapping(S_ref), num_buckets)
+            # the next level starts from the phase-1 communities (parent
+            # is constant within each refined community)
+            comm_init_ds = hash_aggregate(
+                S_ref.map_batches(
+                    lambda df: df[["comm", "parent"]], batch_format="pandas"
+                ),
+                ["comm"], {"parent": ("parent", "min")},
+                num_buckets=num_buckets,
+            ).map_batches(
+                lambda df: pd.DataFrame(
+                    {"vertex": df["comm"].to_numpy(np.int64),
+                     "comm": df["parent"].to_numpy(np.int64)}
+                ),
+                batch_format="pandas",
+            )
+        n_ref = hash_aggregate(
+            S_ref.map_batches(lambda df: df[["comm"]], batch_format="pandas"),
+            ["comm"], None, num_buckets=num_buckets,
+        ).count()
+        if n_ref == S_ref.count():
+            return P, q
+        level_edges = _contract_ds(level_edges, S_ref, num_buckets)
+        E_level = level_edges.count()
+    return _init_assign(level_edges, num_buckets), 0.0  # max_levels <= 0
+
+
+# --------------------------------------------------------------------------
+# public API
+# --------------------------------------------------------------------------
+
+def _level0(graph, name):
+    """The entry level's edges and m2 = Σ weight (both stored directions)."""
+    if graph.directed:
+        raise ValueError(
+            f"{name} requires an undirected graph (directed=False)")
+    level_edges = cut_stats_lineage(
+        graph.edges_dataset(columns=["src", "dst", "weight"]).materialize()
+    )
+    return level_edges, float(level_edges.sum("weight") or 0.0)
 
 
 def louvain(graph, max_levels: int = 10, max_inner: int = 20,
@@ -856,99 +947,18 @@ def louvain(graph, max_levels: int = 10, max_inner: int = 20,
     path; levels with ≤ ``local_edge_limit`` edges use a numpy fast path
     whose arrays are sized by the level's active vertex count.
     """
-    import ray  # noqa: F401  (workers resolve broadcast refs)
+    import ray.data as rd
 
-    if graph.directed:
-        raise ValueError("louvain requires an undirected graph (directed=False)")
-
-    edges_ds = graph.edges_dataset(columns=["src", "dst", "weight"])
-    level_edges = cut_stats_lineage(edges_ds.materialize())
-    E_level = graph.num_edges
-    m2 = float(level_edges.sum("weight") or 0.0)
-    if E_level <= local_edge_limit and m2 > 0:
-        # contraction only shrinks E — run the whole level loop on
-        # driver arrays (identical decisions, no per-level Dataset ops)
-        import ray.data as rd
-
-        out_df, q = _louvain_local_full(
-            level_edges, m2, max_levels, max_inner, resolution, min_gain,
-            parity_salt,
-        )
-        return _finish(cut_stats_lineage(rd.from_pandas(out_df))), q
-    A = _init_assign(level_edges, num_buckets)
+    level_edges, m2 = _level0(graph, "louvain")
     if m2 == 0:
-        return _finish(A), 0.0
-
-    final_q = 0.0
-    for level in range(max_levels):
-        local = E_level <= local_edge_limit
-        if local:
-            active, sc, dc, w = _local_arrays(level_edges)
-            n = len(active)
-            k = np.bincount(sc, weights=w, minlength=n)
-            comm = active.copy()  # label = own id
-            q_cur = _modularity_local(sc, dc, w, comm, k, m2, resolution)
-            comm, q_cur, improved = _move_phase_local(
-                active, sc, dc, w, k, m2, comm, q_cur, resolution,
-                max_inner, min_gain, parity_salt,
-            )
-            final_q = q_cur
-            if not improved:
-                break
-            A = _compose_assign_bcast(A, active, comm)
-            n_comm = len(np.unique(comm))
-            # contract locally (compact label packing)
-            labels, lab_inv = np.unique(comm, return_inverse=True)
-            cs_l, cd_l = lab_inv[sc], lab_inv[dc]
-            key = cs_l.astype(np.int64) * len(labels) + cd_l
-            uk, inv = np.unique(key, return_inverse=True)
-            wsum = np.bincount(inv, weights=w, minlength=len(uk))
-            import ray.data as rd
-
-            level_edges = cut_stats_lineage(rd.from_pandas(
-                pd.DataFrame(
-                    {
-                        "src": labels[(uk // len(labels)).astype(np.int64)],
-                        "dst": labels[(uk % len(labels)).astype(np.int64)],
-                        "weight": wsum,
-                    }
-                )
-            ).materialize())
-            E_level = len(uk)
-            if n_comm == n:
-                break
-        else:
-            from raygraph.agg import hash_aggregate
-
-            S = _level_state_ds(level_edges, None, num_buckets)
-            q_cur = _modularity_ds(level_edges, S, m2, resolution, num_buckets)
-            S, q_cur, improved = _move_phase_ds(
-                level_edges, S, m2, q_cur, resolution, max_inner, min_gain,
-                parity_salt, num_buckets=num_buckets,
-            )
-            final_q = q_cur
-            if not improved:
-                break
-            S = cut_stats_lineage(S.materialize())
-            n_active = S.count()
-            mapping = S.map_batches(
-                lambda df: pd.DataFrame(
-                    {"cur": df["vertex"].to_numpy(np.int64),
-                     "new": df["comm"].to_numpy(np.int64)}
-                ),
-                batch_format="pandas",
-            )
-            A = _compose_assign_ds(A, mapping, num_buckets)
-            n_comm = hash_aggregate(
-                S.map_batches(lambda df: df[["comm"]], batch_format="pandas"),
-                ["comm"], None, num_buckets=num_buckets,
-            ).count()
-            level_edges = _contract_ds(level_edges, S, num_buckets)
-            E_level = level_edges.count()
-            if n_comm == n_active:
-                break
-
-    return _finish(A), float(final_q)
+        return _finish(_init_assign(level_edges, num_buckets)), 0.0
+    assign, q = _levels_ds(
+        level_edges, graph.num_edges, m2, max_levels, max_inner, resolution,
+        min_gain, local_edge_limit, parity_salt, num_buckets,
+    )
+    if isinstance(assign, pd.DataFrame):
+        assign = cut_stats_lineage(rd.from_pandas(assign))
+    return _finish(assign), float(q)
 
 
 def leiden(graph, max_levels: int = 10, max_inner: int = 20,
@@ -972,179 +982,20 @@ def leiden(graph, max_levels: int = 10, max_inner: int = 20,
     distributed path).  Returns (Dataset (vertex, partition), modularity)
     with dense 0..C-1 labels (bucket-offset rank, deterministic).
     """
-    import ray  # noqa: F401
+    import ray.data as rd
 
-    from raygraph.agg import hash_aggregate
-
-    if graph.directed:
-        raise ValueError("leiden requires an undirected graph (directed=False)")
-
-    edges_ds = graph.edges_dataset(columns=["src", "dst", "weight"])
-    level_edges = cut_stats_lineage(edges_ds.materialize())
-    E_level = graph.num_edges
-    m2 = float(level_edges.sum("weight") or 0.0)
-    if E_level <= local_edge_limit and m2 > 0:
-        import ray.data as rd
-
-        out_df, q = _leiden_local_full(
-            level_edges, m2, max_levels, max_inner, resolution, min_gain,
-            parity_salt, refine_inner,
-        )
-        return rd.from_pandas(
-            _dense_labels_local(out_df, num_buckets)
-        ), q
-    A = _init_assign(level_edges, num_buckets)
-    P = A  # phase-1 labels at original granularity
+    level_edges, m2 = _level0(graph, "leiden")
     if m2 == 0:
-        return _finish(A), 0.0
-
-    comm_init_ds = None  # None → identity (level 0)
-    final_q = 0.0
-    for level in range(max_levels):
-        local = E_level <= local_edge_limit
-        if local:
-            active, sc, dc, w = _local_arrays(level_edges)
-            n = len(active)
-            k = np.bincount(sc, weights=w, minlength=n)
-            if comm_init_ds is None:
-                comm = active.copy()
-            else:
-                ci = comm_init_ds.to_pandas()  # ≤ active rows (local level)
-                comm = np.empty(n, dtype=np.int64)
-                pos = np.searchsorted(active, ci["vertex"].to_numpy(np.int64))
-                comm[pos] = ci["comm"].to_numpy(np.int64)
-            q_cur = _modularity_local(sc, dc, w, comm, k, m2, resolution)
-            comm, q_cur, improved = _move_phase_local(
-                active, sc, dc, w, k, m2, comm, q_cur, resolution,
-                max_inner, min_gain, parity_salt,
-            )
-            final_q = q_cur
-            P = _compose_assign_bcast(A, active, comm)
-            if not improved:
-                break
-            # refinement: singleton restart constrained to phase-1 comms
-            rcomm = active.copy()
-            q_ref = _modularity_local(sc, dc, w, rcomm, k, m2, resolution)
-            rcomm, q_ref, _ = _move_phase_local(
-                active, sc, dc, w, k, m2, rcomm, q_ref, resolution,
-                refine_inner, min_gain, parity_salt,
-                restrict_parent=comm, singleton_only=True,
-            )
-            A = _compose_assign_bcast(A, active, rcomm)
-            # contract by the refined partition
-            labels, lab_inv = np.unique(rcomm, return_inverse=True)
-            n_ref = len(labels)
-            cs_l, cd_l = lab_inv[sc], lab_inv[dc]
-            key = cs_l.astype(np.int64) * n_ref + cd_l
-            uk, inv = np.unique(key, return_inverse=True)
-            wsum = np.bincount(inv, weights=w, minlength=len(uk))
-            import ray.data as rd
-
-            level_edges = cut_stats_lineage(rd.from_pandas(
-                pd.DataFrame(
-                    {
-                        "src": labels[(uk // n_ref).astype(np.int64)],
-                        "dst": labels[(uk % n_ref).astype(np.int64)],
-                        "weight": wsum,
-                    }
-                )
-            ).materialize())
-            E_level = len(uk)
-            if n_ref == n:
-                break
-            # next level starts from the phase-1 communities: parent is
-            # constant within each refined community
-            parent_of_ref = np.empty(n_ref, dtype=np.int64)
-            parent_of_ref[lab_inv] = comm  # any member's parent
-            comm_init_ds = cut_stats_lineage(rd.from_pandas(
-                pd.DataFrame({"vertex": labels, "comm": parent_of_ref})
-            ).materialize())
-        else:
-            S = _level_state_ds(level_edges, comm_init_ds, num_buckets)
-            q_cur = _modularity_ds(level_edges, S, m2, resolution, num_buckets)
-            S, q_cur, improved = _move_phase_ds(
-                level_edges, S, m2, q_cur, resolution, max_inner, min_gain,
-                parity_salt, num_buckets=num_buckets,
-            )
-            final_q = q_cur
-            S = cut_stats_lineage(S.materialize())
-            P = _compose_assign_ds(
-                A,
-                S.map_batches(
-                    lambda df: pd.DataFrame(
-                        {"cur": df["vertex"].to_numpy(np.int64),
-                         "new": df["comm"].to_numpy(np.int64)}
-                    ),
-                    batch_format="pandas",
-                ),
-                num_buckets,
-            )
-            if not improved:
-                break
-            # refinement state: comm = self (singletons), parent = phase-1
-            S_ref = cut_stats_lineage(
-                S.map_batches(
-                    lambda df: pd.DataFrame(
-                        {
-                            "vertex": df["vertex"].to_numpy(np.int64),
-                            "comm": df["vertex"].to_numpy(np.int64),
-                            "k": df["k"].to_numpy(np.float64),
-                            "parent": df["comm"].to_numpy(np.int64),
-                        }
-                    ),
-                    batch_format="pandas",
-                ).materialize()
-            )
-            q_ref = _modularity_ds(level_edges, S_ref, m2, resolution,
-                                   num_buckets)
-            S_ref, q_ref, _ = _move_phase_ds(
-                level_edges, S_ref, m2, q_ref, resolution, refine_inner,
-                min_gain, parity_salt, restricted=True, singleton_only=True,
-                num_buckets=num_buckets,
-            )
-            S_ref = cut_stats_lineage(S_ref.materialize())
-            n_active = S_ref.count()
-            A = _compose_assign_ds(
-                A,
-                S_ref.map_batches(
-                    lambda df: pd.DataFrame(
-                        {"cur": df["vertex"].to_numpy(np.int64),
-                         "new": df["comm"].to_numpy(np.int64)}
-                    ),
-                    batch_format="pandas",
-                ),
-                num_buckets,
-            )
-            n_ref = hash_aggregate(
-                S_ref.map_batches(
-                    lambda df: df[["comm"]], batch_format="pandas"
-                ),
-                ["comm"], None, num_buckets=num_buckets,
-            ).count()
-            level_edges = _contract_ds(level_edges, S_ref, num_buckets)
-            E_level = level_edges.count()
-            if n_ref == n_active:
-                break
-            comm_init_ds = cut_stats_lineage(
-                hash_aggregate(
-                    S_ref.map_batches(
-                        lambda df: df[["comm", "parent"]],
-                        batch_format="pandas",
-                    ),
-                    ["comm"], {"parent": ("parent", "min")},
-                    num_buckets=num_buckets,
-                )
-                .map_batches(
-                    lambda df: pd.DataFrame(
-                        {"vertex": df["comm"].to_numpy(np.int64),
-                         "comm": df["parent"].to_numpy(np.int64)}
-                    ),
-                    batch_format="pandas",
-                )
-                .materialize()
-            )
-
-    return _dense_labels(P, num_buckets), float(final_q)
+        return _finish(_init_assign(level_edges, num_buckets)), 0.0
+    assign, q = _levels_ds(
+        level_edges, graph.num_edges, m2, max_levels, max_inner, resolution,
+        min_gain, local_edge_limit, parity_salt, num_buckets, refine_inner,
+    )
+    if isinstance(assign, pd.DataFrame):
+        out = rd.from_pandas(_dense_labels_local(assign, num_buckets))
+    else:
+        out = _dense_labels(assign, num_buckets)
+    return out, float(q)
 
 
 def ecg(graph, min_weight: float = 0.05, ensemble_size: int = 16,
@@ -1196,36 +1047,28 @@ def ecg(graph, min_weight: float = 0.05, ensemble_size: int = 16,
 
     local_limit = ensemble_kwargs.get("local_edge_limit", 5_000_000)
     if graph.num_edges <= local_limit and V <= broadcast_limit:
-        # local fast ensemble: ONE edge pull, shared compact arrays, all
-        # members run the same numpy sweep louvain's local path uses
-        # (bit-identical labels to ensemble_size louvain(max_levels=1)
-        # calls — the dataset plumbing per member collapses to nothing),
-        # and co-membership reduces to comm_i[sc]==comm_i[dc] per edge
-        import ray.data as _rd2
-
+        # local fast ensemble: ONE edge pull, shared compact arrays, each
+        # member one level of the array loop louvain runs (bit-identical
+        # labels to ensemble_size louvain(max_levels=1) calls), and
+        # co-membership reduces to comm_i[sc]==comm_i[dc] per edge
         edges_ds = cut_stats_lineage(
             graph.edges_dataset(columns=["src", "dst", "weight"]).materialize()
         )
         active, sc, dc, w = _local_arrays(edges_ds)
-        n = len(active)
-        k = np.bincount(sc, weights=w, minlength=n)
         m2 = float(w.sum())
-        max_inner = ensemble_kwargs.get("max_inner", 20)
-        min_gain = ensemble_kwargs.get("min_gain", 1e-9)
-        resolution = ensemble_kwargs.get("resolution", 1.0)
         same = np.zeros(len(sc), dtype=np.int64)
         if m2 > 0:
             for salt in salts:
-                comm = active.copy()
-                q0 = _modularity_local(sc, dc, w, comm, k, m2, resolution)
-                comm, _q, _imp = _move_phase_local(
-                    active, sc, dc, w, k, m2, comm, q0, resolution,
-                    max_inner, min_gain, salt,
+                comm, _q = _levels_local(
+                    active, sc, dc, w, m2, 1,
+                    ensemble_kwargs.get("max_inner", 20),
+                    ensemble_kwargs.get("resolution", 1.0),
+                    ensemble_kwargs.get("min_gain", 1e-9), salt,
                 )
                 same += comm[sc] == comm[dc]
         else:
             same += ensemble_size  # singleton self-comms; no edges move
-        rw = _rd2.from_pandas(
+        rw = rd.from_pandas(
             pd.DataFrame(
                 {
                     "src": active[sc],

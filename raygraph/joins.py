@@ -65,34 +65,18 @@ def _key_hash(df: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
 
 
 def _pin_for_schema(ds):
-    """Pin a lazy Dataset whose schema probe would replay an exchange.
+    """Pin a Dataset whose schema is not known without executing it.
 
-    ``columns()``/``schema()`` on a lazy handle execute the plan until a
-    first block exists; with an all-to-all (sort/aggregate/repartition)
-    in the lineage that means the ENTIRE upstream plan runs — and Ray
-    discards the probe's blocks, so the real consumption executes it
-    again (chained joins compound this quadratically).  Pinning first
-    makes the probe free and lets the join's exchange read the pinned
-    blocks.  Map-only lineages are left lazy: their probe stops at one
-    block and they should stream into the exchange."""
+    ``columns()``/``schema()`` on such a handle run ``limit(1)`` over the
+    plan and cancel the tasks still in flight; with an all-to-all in the
+    lineage the ENTIRE upstream plan runs, and Ray discards the probe's
+    blocks, so the real consumption executes it again (chained joins
+    compound this quadratically).  Pinning first makes the probe free and
+    lets the join's exchange read the pinned blocks.  Map-only lineages
+    are pinned too: each probe cancels in-flight map tasks, and an
+    iterative caller (Louvain's Dataset level loop) would run hundreds of
+    them."""
     if ds.schema(fetch_if_missing=False) is not None:
-        return ds
-    try:
-        from ray.data._internal.logical.operators.all_to_all_operator import (
-            AbstractAllToAll,
-        )
-
-        stack = [ds._logical_plan.dag]
-        has_exchange = False
-        while stack:
-            op = stack.pop()
-            if isinstance(op, AbstractAllToAll):
-                has_exchange = True
-                break
-            stack.extend(op.input_dependencies)
-    except Exception:
-        has_exchange = True  # can't introspect — pin conservatively
-    if not has_exchange:
         return ds
     from raygraph.lineage import cut_stats_lineage
 

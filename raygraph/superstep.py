@@ -2672,7 +2672,7 @@ class SuperstepEngine:
             out_dir = os.path.join(
                 tempfile.gettempdir(), "raygraph", f"eresult-{uuid.uuid4().hex[:12]}"
             )
-        ray.get([w.write_edge_state.remote(out_dir, names) for w in self.workers])
+        get([w.write_edge_state.remote(out_dir, names) for w in self.workers])
         if not getattr(self, "_keep_alive", False):
             self.shutdown()
         from raygraph.sources import read_parquet_dir

@@ -775,7 +775,7 @@ def test_scc_local_matches_engine(tmp_path):
 
 @pytest.mark.parametrize("exchange", ["packed", "sliced"])
 @pytest.mark.parametrize("graph_name", ["karate", "random"])
-@pytest.mark.parametrize("algo", ["bfs", "sssp", "lpa"])
+@pytest.mark.parametrize("algo", ["bfs", "sssp", "lpa", "bc", "ebc"])
 def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
                               monkeypatch):
     """One kernel, two executors: the small-graph gate runs the engine in
@@ -783,6 +783,10 @@ def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
     and W=3 in either exchange mode.  The gated call starts no actor and
     leaves the idle pool alone; ``local_edge_limit=0`` takes the pool."""
     from raygraph import superstep
+    from raygraph.algos.centrality import (
+        betweenness_centrality,
+        edge_betweenness_centrality,
+    )
     from raygraph.algos.traversal import bfs, sssp
     from raygraph.superstep import SuperstepEngine
 
@@ -802,11 +806,13 @@ def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
         "bfs": lambda **kw: bfs(g, 0, **kw),
         "sssp": lambda **kw: sssp(g, 0, **kw),
         "lpa": lambda **kw: label_propagation(g, max_iter=15, **kw),
+        "bc": lambda **kw: betweenness_centrality(g, k=16, **kw),
+        "ebc": lambda **kw: edge_betweenness_centrality(g, k=16, **kw),
     }[algo]
+    key = ["src", "dst"] if algo == "ebc" else ["vertex"]
 
     def result(**kw):
-        return run(**kw).to_pandas().sort_values("vertex").reset_index(
-            drop=True)
+        return run(**kw).to_pandas().sort_values(key).reset_index(drop=True)
 
     engines = []  # (executor, every worker is an actor) per engine
     init = SuperstepEngine.__init__
@@ -851,39 +857,6 @@ def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
         assert np.array_equal(got["label"].to_numpy(), want)
 
 
-def test_betweenness_local_gate_matches_engine(tmp_path):
-    """The driver-local Brandes replica agrees with the BSP engine path
-    (forced via local_edge_limit=0) on vertex and edge betweenness."""
-    from raygraph.algos.centrality import (
-        betweenness_centrality,
-        edge_betweenness_centrality,
-    )
-
-    g = build(fixtures.karate_df(), False, tmp_path, "kbcpar")
-    loc = (
-        betweenness_centrality(g, normalized=True)
-        .to_pandas().sort_values("vertex")["betweenness_centrality"].to_numpy()
-    )
-    eng = (
-        betweenness_centrality(g, normalized=True, local_edge_limit=0)
-        .to_pandas().sort_values("vertex")["betweenness_centrality"].to_numpy()
-    )
-    assert np.allclose(loc, eng, atol=1e-12)
-    el = (
-        edge_betweenness_centrality(g, normalized=True)
-        .to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    )
-    ee = (
-        edge_betweenness_centrality(g, normalized=True, local_edge_limit=0)
-        .to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    )
-    assert np.array_equal(el["src"].to_numpy(), ee["src"].to_numpy())
-    assert np.allclose(
-        el["betweenness_centrality"].to_numpy(),
-        ee["betweenness_centrality"].to_numpy(), atol=1e-12,
-    )
-
-
 def test_wcc_local_gate_matches_engine(tmp_path):
     """Canonical min-vid labels are a pure function of the partition —
     local union-find output must equal the engine fixpoint exactly."""
@@ -894,3 +867,15 @@ def test_wcc_local_gate_matches_engine(tmp_path):
     eng = (weakly_connected_components(g, local_edge_limit=0).to_pandas()
            .sort_values("vertex")["labels"].to_numpy())
     assert np.array_equal(loc, eng)
+
+
+def test_wcc_engine_settles_long_path(tmp_path):
+    """The engine's min-label fixpoint takes one superstep per hop; its
+    default bound (V + 1 supersteps) settles a 1,200-vertex path."""
+    V = 1200
+    df = pd.DataFrame({"src": np.arange(V - 1), "dst": np.arange(1, V),
+                       "weight": np.ones(V - 1)})
+    g = build(df, False, tmp_path, "path")
+    got = weakly_connected_components(g, local_edge_limit=0).to_pandas()
+    assert len(got) == V
+    assert (got["labels"] == 0).all()

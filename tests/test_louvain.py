@@ -66,11 +66,34 @@ def test_louvain_two_cliques(tmp_path):
     assert q > 0.4
 
 
-def test_louvain_distributed_path_matches_local(tmp_path):
-    # force the Dataset backend (local_edge_limit=0 — scalars-only driver,
-    # state/moves/modularity all distributed) and require the exact
-    # partition the local numpy fast path produces; num_buckets only
-    # changes exchange salting, never decisions
+def _count_handoffs(monkeypatch):
+    """Calls of the one compose that follows a Dataset level → array loop
+    handoff (the entry-level handoff needs no compose)."""
+    from raygraph.algos import louvain as lv
+
+    calls = []
+    compose = lv._compose_assign_bcast
+
+    def spy(*a):
+        calls.append(1)
+        return compose(*a)
+
+    monkeypatch.setattr(lv, "_compose_assign_bcast", spy)
+    return calls
+
+
+# karate stores 156 edges and contracts to fewer than 60 after one level:
+# 0 keeps every level on Datasets, 60 hands off to the array loop after
+# the first contraction
+DIST_LIMITS = [0, 60]
+
+
+@pytest.mark.parametrize("limit", DIST_LIMITS)
+def test_louvain_distributed_path_matches_local(tmp_path, monkeypatch, limit):
+    # force the Dataset backend (scalars-only driver, state/moves/
+    # modularity all distributed) for every level, or for the first only,
+    # and require the exact partition the local numpy fast path produces;
+    # num_buckets only changes exchange salting, never decisions
     g = Graph.from_edges(
         rd.from_pandas(fixtures.karate_df()),
         src="src", dst="dst", weight="weight",
@@ -78,7 +101,9 @@ def test_louvain_distributed_path_matches_local(tmp_path):
         out_dir=str(tmp_path / "lvd"),
     )
     res_local, q_local = louvain(g)
-    res_dist, q_dist = louvain(g, local_edge_limit=0, num_buckets=8)
+    handoffs = _count_handoffs(monkeypatch)
+    res_dist, q_dist = louvain(g, local_edge_limit=limit, num_buckets=8)
+    assert len(handoffs) == (limit > 0)
     a = res_local.to_pandas().sort_values("vertex").reset_index(drop=True)
     b = res_dist.to_pandas().sort_values("vertex").reset_index(drop=True)
     assert a.equals(b)
@@ -147,7 +172,8 @@ def test_leiden_karate(tmp_path):
     assert q == qq
 
 
-def test_leiden_distributed_path_matches_local(tmp_path):
+@pytest.mark.parametrize("limit", DIST_LIMITS)
+def test_leiden_distributed_path_matches_local(tmp_path, monkeypatch, limit):
     from raygraph.algos.louvain import leiden
 
     g = Graph.from_edges(
@@ -157,7 +183,9 @@ def test_leiden_distributed_path_matches_local(tmp_path):
         out_dir=str(tmp_path / "ldd"),
     )
     a, qa = leiden(g)
-    b, qb = leiden(g, local_edge_limit=0, num_buckets=8)  # force Dataset backend
+    handoffs = _count_handoffs(monkeypatch)
+    b, qb = leiden(g, local_edge_limit=limit, num_buckets=8)
+    assert len(handoffs) == (limit > 0)
     assert abs(qa - qb) < 1e-9
     assert a.to_pandas().sort_values("vertex").reset_index(drop=True).equals(
         b.to_pandas().sort_values("vertex").reset_index(drop=True)

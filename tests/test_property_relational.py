@@ -91,6 +91,39 @@ def test_hash_join_matches_pandas(ray_session, data, arrow, how):
     _assert_same(got, want)
 
 
+def test_hash_join_pins_lazy_inputs_instead_of_probing(ray_session,
+                                                       monkeypatch):
+    """A lazy map-only input is pinned before the join reads its schema:
+    building the join runs no ``limit(1)`` schema probe over a plan that
+    has not executed (each probe cancels in-flight map tasks)."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    schema = ExecutionPlan.schema
+    probes = []
+
+    def no_probe(self, fetch_if_missing=False):
+        if (fetch_if_missing and self._schema is None
+                and not self.has_computed_output()
+                and self._logical_plan.dag.infer_schema() is None):
+            probes.append(self)
+            raise AssertionError("schema probe executes an unrun plan")
+        return schema(self, fetch_if_missing)
+
+    left = rd.from_pandas(
+        pd.DataFrame({"k": np.arange(30, dtype=np.int64)})
+    ).map_batches(lambda df: df.assign(v=df["k"] * 10), batch_format="pandas")
+    right = pd.DataFrame({"k": np.arange(0, 40, 3, dtype=np.int64),
+                          "w": np.arange(14, dtype=np.float64)})
+    monkeypatch.setattr(ExecutionPlan, "schema", no_probe)
+    joined = joins.hash_join(left, rd.from_pandas(right), on="k",
+                             num_buckets=4)
+    monkeypatch.undo()
+    assert probes == []
+    want = pd.DataFrame({"k": np.arange(30, dtype=np.int64)}).assign(
+        v=lambda df: df["k"] * 10).merge(right, on="k")
+    _assert_same(joined.to_pandas(), want)
+
+
 @settings(**SETTINGS)
 @given(data=key_frames(), arrow=st.booleans())
 def test_hash_aggregate_matches_pandas(ray_session, data, arrow):
