@@ -624,90 +624,40 @@ def _init_assign(edges_ds, num_buckets):
 
 def _dense_labels_local(out_df: pd.DataFrame, num_buckets: int = 64
                         ) -> pd.DataFrame:
-    """Array replica of :func:`_dense_labels` — the dense id is a pure
-    function of the distinct label set (hash-bucket offset + ascending
-    rank within the bucket), so both paths yield identical labels."""
-    from raygraph.hashing import hash_int64
+    """(vertex, cur) → (vertex, partition) with dense 0..C-1 labels: the
+    build's dense-id rule (``graph.bucket_rank``) on one driver array, so
+    the dense label is the label's row position."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    cur = out_df["cur"].to_numpy(np.int64)
-    u = np.unique(cur)
-    b = (hash_int64(u) % np.uint64(num_buckets)).astype(np.int64)
-    order = np.lexsort((u, b))  # bucket-major, label ascending within
-    dense_of = np.empty(len(u), dtype=np.int64)
-    dense_of[order] = np.arange(len(u), dtype=np.int64)
+    from raygraph.graph import bucket_rank
+
+    cur = pa.array(out_df["cur"].to_numpy(np.int64))
+    labs = bucket_rank(cur, num_buckets).column("vertex_key")
     return pd.DataFrame(
         {
             "vertex": out_df["vertex"].to_numpy(np.int64),
-            "partition": dense_of[np.searchsorted(u, cur)],
+            "partition": pc.index_in(cur, value_set=labs).to_numpy()
+            .astype(np.int64),
         }
     )
 
 
 def _dense_labels(out_ds, num_buckets: int = 64):
-    """(vertex, cur) → (vertex, partition) with dense 0..C-1 labels.
+    """(vertex, cur) → (vertex, partition) with dense 0..C-1 labels: the
+    build's dense-id rule on a Dataset (``graph.build_vertex_map`` over the
+    ``cur`` column) — deterministic at any parallelism; no global sort; no
+    C-sized driver state."""
+    import pyarrow as pa
 
-    Bucket-offset rank (the ``build_vertex_map`` scheme —
-    ``number_map.py:138-171`` analogue): distinct labels hash into B
-    buckets, each bucket sorts locally, the driver sees only B bucket
-    sizes, dense id = bucket offset + local rank.  Deterministic at any
-    parallelism; no global sort; no C-sized driver state."""
     from raygraph import joins
-    from raygraph.agg import hash_aggregate
-    from raygraph.hashing import hash_int64
+    from raygraph.graph import build_vertex_map
 
-    labs = hash_aggregate(
-        out_ds.map_batches(
-            lambda df: pd.DataFrame({"lab": df["cur"].to_numpy(np.int64)}),
-            batch_format="pandas",
-        ),
-        ["lab"], None, num_buckets=num_buckets,
-    )
-
-    def bucketed(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df["lab"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "lab": lab,
-                "__bucket": (
-                    hash_int64(lab) % np.uint64(num_buckets)
-                ).astype(np.int32),
-            }
-        )
-
-    def rank_within(g: pd.DataFrame) -> pd.DataFrame:
-        u = np.unique(g["lab"].to_numpy(np.int64))
-        return pd.DataFrame(
-            {
-                "lab": u,
-                "__bucket": g["__bucket"].iloc[0],
-                "__local": np.arange(len(u), dtype=np.int64),
-            }
-        )
-
-    ranked = (
-        labs.map_batches(bucketed, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(rank_within, batch_format="pandas")
-        .materialize()
-    )
-    parts = ranked.map_batches(
-        lambda df: df.groupby("__bucket", as_index=False)["__local"].max(),
-        batch_format="pandas",
-    ).to_pandas()  # ≤ num_buckets rows
-    sizes = parts.groupby("__bucket")["__local"].max() + 1
-    offsets = np.zeros(num_buckets, dtype=np.int64)
-    offsets[sizes.index.to_numpy()] = sizes.to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(offsets)[:-1]])
-
-    vmap = ranked.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "cur": df["lab"].to_numpy(np.int64),
-                "new": offsets[df["__bucket"].to_numpy()]
-                + df["__local"].to_numpy(np.int64),
-            }
-        ),
-        batch_format="pandas",
+    vmap, _ = build_vertex_map(out_ds, cols=["cur"], num_buckets=num_buckets)
+    vmap = vmap.map_batches(
+        lambda t: pa.table({"cur": t.column("vertex_key"),
+                            "new": t.column("vid")}),
+        batch_format="pyarrow",
     )
     dense = joins.hash_join(out_ds, vmap, on="cur", num_buckets=num_buckets)
     return dense.map_batches(

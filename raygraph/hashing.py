@@ -6,15 +6,14 @@ a fixed, seedless, vectorizable integer hash that is identical across
 processes and runs (required for checkpoint *resume*: a restarted job must
 route every vertex to the same partition).  We use the splitmix64 finalizer
 (public domain, Steele et al., "Fast splittable pseudorandom number
-generators") for int64 vertex ids, and zlib.crc32 for string keys.
+generators") for int64 vertex ids, and pandas' vectorized SipHash
+(:func:`hash_str_array`) for string keys.
 
 Python's builtin ``hash()`` is salted per-process (PYTHONHASHSEED) and MUST
 NOT be used anywhere in the engine.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 
@@ -46,11 +45,6 @@ def part_of_vertex(vids, num_parts: int) -> np.ndarray:
     analogue of the reference's 2D hash placement (SURVEY.md §4.4).
     """
     return (hash_int64(vids) % _U64(num_parts)).astype(np.int32)
-
-
-def hash_str(key: str) -> int:
-    """Stable uint32 hash of one string key (crc32)."""
-    return zlib.crc32(key.encode("utf-8"))
 
 
 def hash_str_array(keys) -> np.ndarray:

@@ -26,13 +26,13 @@ def _edges_df():
 
 def test_build_vertex_map_bijection_dense_deterministic():
     ds = normalize_edges(rd.from_pandas(_edges_df()), src="s", dst="d", weight="w")
-    vmap, V = build_vertex_map(ds, src_col="src", dst_col="dst", key_is_str=True)
+    vmap, V = build_vertex_map(ds, cols=("src", "dst"))
     df = vmap.to_pandas()
     assert V == 4
     assert sorted(df["vertex_key"]) == ["a", "b", "c", "d"]
     assert sorted(df["vid"]) == [0, 1, 2, 3]
     # deterministic across rebuilds
-    vmap2, _ = build_vertex_map(ds, src_col="src", dst_col="dst", key_is_str=True)
+    vmap2, _ = build_vertex_map(ds, cols=("src", "dst"))
     df2 = vmap2.to_pandas()
     m1 = dict(zip(df["vertex_key"], df["vid"]))
     m2 = dict(zip(df2["vertex_key"], df2["vid"]))
@@ -61,6 +61,8 @@ def test_from_edges_roundtrip(tmp_path, broadcast_limit):
         num_partitions=4,
         out_dir=str(tmp_path / f"g{broadcast_limit}"),
         broadcast_limit=broadcast_limit,
+        # 6 edges would take the driver build, which has no join fallback
+        local_edge_limit=500_000 if broadcast_limit else 0,
     )
     assert g.num_vertices == 4
     # 6 input edges, (a,b) duplicated → 5 distinct directed edges
@@ -286,11 +288,18 @@ def _local_build_input(case):
     def keys():
         if case == "int":
             return rng.randint(-(2**40), 2**40, 50)[rng.randint(0, 50, n)]
+        if case == "ids":
+            return rng.randint(0, 50, n).astype(np.int64)
         k = pd.Series(rng.randint(0, 50, n)).astype(str)
         if case == "ascii":
             return "k::" + k
         return prefix[rng.randint(0, len(prefix), n)] + k.to_numpy()
 
+    if case == "empty":
+        df = pd.DataFrame({"src": np.array([], np.int64),
+                           "dst": np.array([], np.int64),
+                           "weight": np.array([], np.float64)})
+        return lambda: rd.from_pandas(df)
     df = pd.DataFrame({"src": keys(), "dst": keys(),
                        "weight": rng.uniform(0.5, 2.0, n).round(3)})
     if case != "pandas_empties":
@@ -303,29 +312,63 @@ def _local_build_input(case):
     )
 
 
-@pytest.mark.parametrize("case", ["ascii", "non_ascii", "int",
-                                  "pandas_empties"])
+def _stored(g):
+    """The build's files as written: (src, dst, weight, part) rows and the
+    vmap, each in a canonical row order."""
+    def read(pattern):
+        return [(f, pq.ParquetFile(f).read().to_pandas())
+                for f in glob.glob(os.path.join(g.base_dir, pattern))]
+
+    edges = [t.assign(part=int(f.split("part=")[1].split(os.sep)[0]))
+             for f, t in read(os.path.join("edges", "part=*", "*.parquet"))]
+    cols = ["src", "dst", "weight", "part"]
+    e = (pd.concat(edges, ignore_index=True) if edges
+         else pd.DataFrame({c: pd.Series([], dtype=t) for c, t in
+                            zip(cols, ["int64", "int64", "float64", "int64"])}))
+    e = e[cols].sort_values(cols).reset_index(drop=True)
+    vm = [t for _f, t in read(os.path.join("vmap", "*.parquet"))]
+    v = (pd.concat(vm, ignore_index=True)[["vertex_key", "vid"]]
+         .sort_values("vid").reset_index(drop=True) if vm else None)
+    return e, v
+
+
+# input case, build options
+_PARITY = {
+    "ascii": ("ascii", dict(directed=False, dedup="sum")),
+    "non_ascii": ("non_ascii", dict(directed=False, dedup="sum")),
+    "int": ("int", dict(directed=False, dedup="sum")),
+    "pandas_empties": ("pandas_empties", dict(directed=False, dedup="sum")),
+    "directed_none": ("ascii", dict(directed=True, dedup=None)),
+    "directed_min": ("non_ascii", dict(directed=True, dedup="min")),
+    "directed_sum": ("int", dict(directed=True, dedup="sum")),
+    "undirected_min_join": ("ascii", dict(directed=False, dedup="min",
+                                          broadcast_limit=0)),
+    "no_renumber": ("ids", dict(directed=False, dedup="sum",
+                                renumber=False)),
+    "empty_directed": ("empty", dict(directed=True, dedup="min")),
+    "empty_undirected": ("empty", dict(directed=False)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARITY))
 def test_local_build_matches_distributed(tmp_path, case):
-    """The driver-local small-input build must replicate the distributed
-    stages bit-for-bit: same vids (bucket-rank), same canonical-pair
-    symmetrize + self-loop sum doubling, same splitmix64 partition
-    placement, same meta (``renumbered`` drives unrenumbering)."""
-    make = _local_build_input(case)
-    kw = dict(src="src", dst="dst", weight="weight", directed=False,
-              dedup="sum", num_partitions=4)
+    """The driver build and the Dataset build (forced with
+    ``local_edge_limit=0``) run the same kernels, so they must write the
+    same graph bit-for-bit: same meta (``renumbered`` drives
+    unrenumbering), same vids (bucket rank), same (src, dst, weight) rows
+    after symmetrize/dedup, same splitmix64 ``part`` placement."""
+    data, opts = _PARITY[case]
+    make = _local_build_input(data)
+    kw = dict(src="src", dst="dst", weight="weight", num_partitions=4,
+              **opts)
     ga = Graph.from_edges(make(), out_dir=str(tmp_path / "loc"), **kw)
     gb = Graph.from_edges(make(), local_edge_limit=0,
                           out_dir=str(tmp_path / "dist"), **kw)
     assert ga.meta == gb.meta
-    cols = ["src", "dst", "weight"]
-    ea = ga.edges_dataset().to_pandas()
-    eb = gb.edges_dataset().to_pandas()
-    sa = ea.sort_values(cols).reset_index(drop=True)
-    sb = eb.sort_values(cols).reset_index(drop=True)
-    assert sa[cols].equals(sb[cols])
-    assert np.array_equal(
-        sa["part"].to_numpy(np.int64), sb["part"].to_numpy(np.int64)
-    )
-    va = ga.vmap_dataset().to_pandas().sort_values("vid").reset_index(drop=True)
-    vb = gb.vmap_dataset().to_pandas().sort_values("vid").reset_index(drop=True)
-    assert va[["vertex_key", "vid"]].equals(vb[["vertex_key", "vid"]])
+    ea, va = _stored(ga)
+    eb, vb = _stored(gb)
+    assert ea.equals(eb)
+    assert len(ea) == ga.num_edges
+    if ga.renumbered and ga.num_vertices:
+        assert va.equals(vb)
+        assert va["vid"].tolist() == list(range(ga.num_vertices))
