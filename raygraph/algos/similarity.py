@@ -11,29 +11,29 @@ Two APIs, mirroring the reference:
   computes over ``vertex_pair``).  Work is Σ_pairs deg(a) — no wedge
   explosion regardless of skew.
 * :func:`pairwise_similarity` — all (a<b) pairs with ≥1 common neighbor.
-  The self-join on the shared endpoint w emits |N(w)|² wedge rows, so a
-  single hub vertex lands its full quadratic expansion in one bucket
-  task; ``max_wedge_degree`` caps it by excluding shared endpoints above
-  the threshold (documented approximation — pairs connected ONLY through
-  capped hubs are dropped / undercounted; the exact answer for specific
-  pairs is :func:`pair_similarity`).
+  One kernel, :func:`_apex_pairs`, expands each apex's sorted neighbor
+  list into its (a<b) neighbor pairs in bounded chunks and combines them;
+  it runs once on the driver table for small edge sets, or once per
+  ``hash(apex)`` bucket followed by one (a,b)-keyed aggregate.  Wedges
+  are never shuffled (task input is Σdeg of a bucket's apexes, never
+  Σdeg²), so a hub is exact with no cap and no path depends on V.
 
-Relational mapping (no list columns): common-neighbor counts by
-self-joining the symmetrized edge list on the shared endpoint, degrees
-from a groupby, coefficients from exact integer counts:
+Coefficients come from exact per-pair counts and endpoint degrees, in one
+formula (:func:`_coeff`):
 
 * jaccard  = |N(a)∩N(b)| / |N(a)∪N(b)|
 * sorensen = 2·|N(a)∩N(b)| / (|N(a)|+|N(b)|)
 * overlap  = |N(a)∩N(b)| / min(|N(a)|,|N(b)|)
+
+A zero denominator (a pair naming a vertex with no edges) gives 0.
 
 **Weighted variants** (reference: ``link_prediction/wjaccard.py`` jaccard_w,
 ``woverlap.py``, ``wsorensen.py`` — per-vertex weights w(v) generalize set
 size to volume vol(S) = Σ_{v∈S} w(v)): pass ``vertex_weights`` (a
 (vertex, weight) Dataset) to either API; ``common`` becomes
 vol(N(a)∩N(b)) and degrees become neighborhood volumes, so e.g.
-weighted jaccard = vol(N(a)∩N(b)) / vol(N(a)∪N(b)).  Plumbing is one
-extra bucketed join attaching w to the shared endpoint + weighted sums
-in place of counts — same shuffle count as unweighted.
+weighted jaccard = vol(N(a)∩N(b)) / vol(N(a)∪N(b)).  A vertex absent
+from ``vertex_weights`` weighs 0.
 """
 
 from __future__ import annotations
@@ -42,61 +42,64 @@ from typing import Optional
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from raygraph import joins
 
 
-def _coeff_frame(df: pd.DataFrame, kind: str, weighted: bool) -> pd.DataFrame:
-    c = df["common"].to_numpy(np.float64)
-    da = df["deg_a"].to_numpy(np.float64)
-    db = df["deg_b"].to_numpy(np.float64)
+def _coeff(common, deg_a, deg_b, kind: str) -> np.ndarray:
+    """The coefficient of ``kind`` from float64 intersection sizes and
+    endpoint degrees (or volumes); 0 where the denominator is 0."""
     if kind == "jaccard":
-        v = c / (da + db - c)
+        num, den = common, deg_a + deg_b - common
     elif kind == "sorensen":
-        v = 2.0 * c / (da + db)
+        num, den = 2.0 * common, deg_a + deg_b
     elif kind == "overlap":
-        v = c / np.minimum(da, db)
+        num, den = common, np.minimum(deg_a, deg_b)
     else:
         raise ValueError(kind)
-    out = df[["a", "b"]].copy()
-    out["common"] = (
-        df["common"].to_numpy(np.float64) if weighted
-        else df["common"].to_numpy(np.int64)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+
+def _with_coeff(t: pa.Table, kind: str) -> pa.Table:
+    """(a, b, common, deg_a, deg_b) → (a, b, common, coeff); a degree left
+    null by a left join counts as 0."""
+    c, da, db = (
+        t.column(n).fill_null(0).to_numpy().astype(np.float64)
+        for n in ("common", "deg_a", "deg_b")
     )
-    out["coeff"] = v
-    return out
+    return t.select(["a", "b", "common"]).append_column(
+        "coeff", pa.array(_coeff(c, da, db, kind))
+    )
 
 
-def _attach_coeff(common, deg, kind: str, num_buckets: int,
-                  weighted: bool = False):
-    """Join per-pair common counts with both endpoint degrees and compute
-    the coefficient. Returns (a, b, common, coeff)."""
+def _attach_coeff(common, deg, kind: str, num_buckets: int):
+    """Left-join per-pair common counts with both endpoint degrees and
+    compute the coefficient. Returns (a, b, common, coeff)."""
     deg = deg.materialize()  # consumed by BOTH endpoint joins below —
     # without this the whole degree lineage (and its upstream edge
     # pipeline) executes twice
-    dega = deg.map_batches(
-        lambda df: df.rename(columns={"src": "a", "deg": "deg_a"}),
-        batch_format="pandas",
+    j1 = joins.hash_join(
+        common, deg.rename_columns({"src": "a", "deg": "deg_a"}), on="a",
+        how="left", num_buckets=num_buckets,
     )
-    degb = deg.map_batches(
-        lambda df: df.rename(columns={"src": "b", "deg": "deg_b"}),
-        batch_format="pandas",
+    j2 = joins.hash_join(
+        j1, deg.rename_columns({"src": "b", "deg": "deg_b"}), on="b",
+        how="left", num_buckets=num_buckets,
     )
-    j1 = joins.hash_join(common, dega, on="a", num_buckets=num_buckets)
-    j2 = joins.hash_join(j1, degb, on="b", num_buckets=num_buckets)
     return j2.map_batches(
-        lambda df: _coeff_frame(df, kind, weighted), batch_format="pandas"
+        _with_coeff, fn_kwargs={"kind": kind}, batch_format="pyarrow"
     )
 
 
-def _endpoint_weights(vertex_weights, num_buckets: int):
+def _endpoint_weights(vertex_weights):
     """(vertex, weight) Dataset → (w, __wt) frame for joining on the
     shared wedge endpoint column."""
     return vertex_weights.map_batches(
-        lambda df: pd.DataFrame(
-            {"w": df["vertex"], "__wt": df["weight"].to_numpy(np.float64)}
-        ),
-        batch_format="pandas",
+        lambda t: pa.table({"w": t.column("vertex"),
+                            "__wt": t.column("weight").cast(pa.float64())}),
+        batch_format="pyarrow",
     )
 
 
@@ -145,7 +148,7 @@ def _volumes(edges_ds, vertex_weights, num_buckets: int, kv_ref=None):
                 lambda df: df.rename(columns={"dst": "w"})[["src", "w"]],
                 batch_format="pandas",
             ),
-            _endpoint_weights(vertex_weights, num_buckets),
+            _endpoint_weights(vertex_weights),
             on="w",
             num_buckets=num_buckets,
         )
@@ -182,397 +185,173 @@ def _ragged_triu_chunks(seg_sizes: np.ndarray, chunk: int):
         yield row_idx, off
 
 
+def _apex_pairs(t: pa.Table, chunk: int = 1 << 22) -> pa.Table:
+    """The pair-expansion kernel.  Rows ``(src = apex, dst = neighbor,
+    deg = degree or volume of the neighbor[, __wt = apex weight])`` →
+    ``(a, b, common, deg_a, deg_b)``, one row per neighbor pair a < b of
+    some apex: ``common`` counts (or, with ``__wt``, sums the weights of)
+    the apexes the pair shares among the input rows.
+
+    Neighbor keys are ranked locally (sorted, so rank order is key order)
+    and each pair packs into one int64; every apex's complete neighbor
+    list must be in ``t``.  Null degrees and weights count as 0."""
+    weighted = "__wt" in t.column_names
+    dst = t.column("dst")
+    keys = pc.unique(dst)
+    keys = keys.take(pc.sort_indices(keys))
+    n = len(keys)
+    r = pc.index_in(dst, keys).to_numpy().astype(np.int64)
+    src = t.column("src")
+    s = pc.index_in(src, pc.unique(src)).to_numpy()
+    order = np.lexsort((r, s))  # apex-major, neighbors ascending
+    s, r = s[order], r[order]
+    d = t.column("deg").fill_null(0).to_numpy()
+    deg = np.zeros(n, d.dtype)
+    deg[r] = d[order]
+    w = (t.column("__wt").fill_null(0).to_numpy().astype(np.float64)[order]
+         if weighted else None)
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    sizes = np.diff(np.r_[starts, len(s)])
+    pks, cnts = [np.empty(0, np.int64)], [np.empty(0, np.float64)]
+    for row_idx, off in _ragged_triu_chunks(sizes, chunk):
+        pk = r[row_idx] * n + r[row_idx + off + 1]
+        upk, inv = np.unique(pk, return_inverse=True)
+        pks.append(upk)
+        cnts.append(np.bincount(inv, weights=None if w is None else w[row_idx]))
+    upk, inv = np.unique(np.concatenate(pks), return_inverse=True)
+    common = np.bincount(inv, weights=np.concatenate(cnts), minlength=len(upk))
+    ai, bi = upk // n, upk % n
+    return pa.table({
+        "a": keys.take(pa.array(ai)),
+        "b": keys.take(pa.array(bi)),
+        "common": common.astype(np.float64 if weighted else np.int64),
+        "deg_a": deg[ai],
+        "deg_b": deg[bi],
+    })
+
+
+def _pairs_local(edges_ds, vertex_weights, key: pa.DataType) -> pa.Table:
+    """Driver executor: degrees (or volumes) by ``bincount`` over the
+    whole edge table, then one kernel call."""
+    from raygraph.graph import _driver_table, _endpoints
+
+    t = _driver_table(edges_ds, pa.schema({"src": key, "dst": key}))
+    verts = pc.unique(_endpoints(t))
+    s = pc.index_in(t.column("src"), verts).to_numpy()
+    d = pc.index_in(t.column("dst"), verts).to_numpy()
+    rows = {"src": t.column("src"), "dst": t.column("dst")}
+    if vertex_weights is None:
+        deg = np.bincount(s, minlength=len(verts))
+    else:
+        wt = _driver_table(vertex_weights,
+                           pa.schema({"vertex": key, "weight": pa.float64()}))
+        idx = pc.index_in(wt.column("vertex"), verts)
+        ok = idx.is_valid()
+        w = np.zeros(len(verts), np.float64)
+        w[idx.filter(ok).to_numpy()] = (
+            wt.column("weight").filter(ok).to_numpy().astype(np.float64))
+        deg = np.bincount(s, weights=w[d], minlength=len(verts))
+        rows["__wt"] = w[s]
+    rows["deg"] = deg[d]
+    return _apex_pairs(pa.table(rows))
+
+
+def _pairs_ds(edges_ds, vertex_weights, num_buckets: int):
+    """Dataset executor: one degree (or volume) aggregate, one join
+    attaching the neighbor's degree (and one attaching the apex weight),
+    the kernel per ``hash(apex)`` bucket, and one (a,b) aggregate.  An
+    apex's rows all land in one bucket, so a pair's partial ``common``
+    values sum to the whole-table count and its degrees repeat exactly."""
+    from raygraph.agg import hash_aggregate
+    from raygraph.graph import _key_bucket
+
+    if vertex_weights is None:
+        deg = hash_aggregate(edges_ds, ["src"], {"deg": (None, "count")},
+                             num_buckets=num_buckets)
+    else:
+        vertex_weights = vertex_weights.materialize()  # 2 consumers
+        deg = _volumes(edges_ds, vertex_weights, num_buckets)
+    rows = joins.hash_join(
+        edges_ds, deg.rename_columns({"src": "dst"}), on="dst", how="left",
+        num_buckets=num_buckets,
+    )
+    if vertex_weights is not None:
+        rows = joins.hash_join(
+            rows, _endpoint_weights(vertex_weights).rename_columns(
+                {"w": "src"}),
+            on="src", how="left", num_buckets=num_buckets,
+        )
+
+    def bucket(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__b", pa.array(_key_bucket(t.column("src"), num_buckets)))
+
+    parts = (
+        rows.map_batches(bucket, batch_format="pyarrow")
+        .groupby("__b")
+        .map_groups(lambda t: _apex_pairs(t.drop_columns(["__b"])),
+                    batch_format="pyarrow")
+    )
+    return hash_aggregate(
+        parts, ["a", "b"],
+        {"common": ("common", "sum"), "deg_a": ("deg_a", "min"),
+         "deg_b": ("deg_b", "min")},
+        num_buckets=num_buckets,
+    ).materialize()
+
+
 def pairwise_similarity(
     edges_ds,
     kind: str = "jaccard",
     num_buckets: int = 64,
-    max_wedge_degree: Optional[int] = None,
     vertex_weights=None,
-    broadcast_limit: int = 20_000_000,
     shared_state: Optional[dict] = None,
     local_edge_limit: int = 500_000,
 ):
     """edges_ds: symmetrized simple (src,dst) Dataset. Returns
-    (a, b, common, coeff) for a<b pairs with common>0.  Edge sets under
-    ``local_edge_limit`` run the identical expansion on driver arrays
-    (pass 0 to force the distributed resident/join paths).
+    (a, b, common, coeff) for a<b pairs with ≥1 common neighbor.
 
-    ``shared_state``: optional caller-owned dict memoizing the resident
-    path's kind-independent core (the materialized per-pair ``common``
-    table + degree/dictionary broadcasts) — pass the SAME dict across
-    jaccard/sorensen/overlap calls over the SAME edge set and only the
-    finalize map re-runs per kind.
+    The kernel (:func:`_apex_pairs`) runs on the driver table when the
+    edge set is at most ``local_edge_limit`` edges, else per
+    ``hash(apex)`` bucket of a Dataset pipeline (pass 0 to force it).
 
-    Fast path (V ≤ ``broadcast_limit``): vertices are renumbered to dense
-    ints via one broadcast dictionary (sorted, so int order ≡ key order),
-    wedges are expanded from RESIDENT per-apex adjacency inside a single
-    ``groupby(hash(apex)).map_groups`` — vectorized ragged-triu in bounded
-    chunks, pair counts combined locally before the one (a,b)-keyed
-    exchange — and degrees attach map-side from a broadcast array (the
-    triangles intersection shape, ``algos/triangles.py``: task input is
-    Σ deg, never Σ deg² shuffled wedge rows, so no hub cap is needed for
-    exactness).  Past the gate, the bucketed-join formulation
-    (:func:`_pairwise_similarity_join`) takes over.
-
-    ``max_wedge_degree``: optionally skip shared endpoints with degree
-    above this (documented approximation — pairs connected ONLY through
-    capped hubs are dropped / undercounted).  None = exact.
+    ``shared_state``: optional caller-owned dict memoizing the
+    kind-independent (a, b, common, deg_a, deg_b) table — pass the SAME
+    dict across jaccard/sorensen/overlap calls over the SAME edge set and
+    only the coefficient map re-runs per kind.
 
     ``vertex_weights``: optional (vertex, weight) Dataset → weighted
     coefficients (``wjaccard.py`` semantics); ``common`` becomes the
     weighted intersection volume (float64).
     """
-    import ray
-
-    from raygraph.agg import hash_aggregate
-    from raygraph.hashing import hash_int64
-
-    weighted = vertex_weights is not None
-    ck = ("resident_core", weighted)
-    core = shared_state.get(ck) if shared_state is not None else None
-    if core is not None:
-        common_c, dref_c, vref_c, V_c = core
-        return _resident_fin(
-            common_c, dref_c, vref_c, V_c, kind,
-            np.float64 if weighted else np.int64,
-        )
-    lk = ("local_core", weighted)
-    lcore = shared_state.get(lk) if shared_state is not None else None
-    if lcore is not None:
-        return _similarity_fin_local(*lcore, kind, weighted)
-
-    edges_ds = edges_ds.materialize()
-    if edges_ds.count() <= local_edge_limit:
-        lcore = _similarity_core_local(
-            edges_ds, max_wedge_degree, vertex_weights)
-        if shared_state is not None:
-            shared_state[lk] = lcore
-        return _similarity_fin_local(*lcore, kind, weighted)
-
-    verts = hash_aggregate(
-        edges_ds.map_batches(
-            lambda df: df[["src"]], batch_format="pandas"
-        ),
-        ["src"], None, num_buckets=num_buckets,
-    ).materialize()
-    V = verts.count()
-    if V > broadcast_limit or V * V > np.iinfo(np.int64).max:
-        return _pairwise_similarity_join(
-            edges_ds, kind, num_buckets, max_wedge_degree, vertex_weights,
-            broadcast_limit,
-        )
-    varr = np.sort(verts.to_pandas()["src"].to_numpy())
-    vref = ray.put((varr, np.arange(V, dtype=np.int64)))
-
-    def to_int(df: pd.DataFrame) -> pd.DataFrame:
-        kv = ray.get(vref)
-        return pd.DataFrame(
-            {
-                "s": joins.lookup_broadcast(df["src"].to_numpy(), kv),
-                "d": joins.lookup_broadcast(df["dst"].to_numpy(), kv),
-            }
-        )
-
-    int_edges = edges_ds.map_batches(to_int, batch_format="pandas")
-
-    # per-vertex degree (weighted: neighborhood volume) → broadcast array
-    if weighted:
-        wdf = vertex_weights.to_pandas()
-        widx = pd.Index(varr).get_indexer(wdf["vertex"].to_numpy())
-        wt = np.zeros(V, dtype=np.float64)
-        ok = widx >= 0
-        wt[widx[ok]] = wdf["weight"].to_numpy(np.float64)[ok]
-        wtref = ray.put(wt)
-        volsrc = int_edges.map_batches(
-            lambda df: pd.DataFrame(
-                {"s": df["s"], "w": ray.get(wtref)[df["d"].to_numpy()]}
-            ),
-            batch_format="pandas",
-        )
-        degdf = hash_aggregate(
-            volsrc, ["s"], {"deg": ("w", "sum")}, num_buckets=num_buckets
-        ).to_pandas()
-    else:
-        wtref = None
-        degdf = hash_aggregate(
-            int_edges, ["s"], {"deg": (None, "count")}, num_buckets=num_buckets
-        ).to_pandas()
-    deg_arr = np.zeros(V, dtype=np.float64)
-    deg_arr[degdf["s"].to_numpy(np.int64)] = degdf["deg"].to_numpy(np.float64)
-    dref = ray.put(deg_arr)
-
-    WEDGE_BUCKETS = num_buckets
-
-    def add_wb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["wb"] = (
-            hash_int64(df["s"].to_numpy(np.int64)) % np.uint64(WEDGE_BUCKETS)
-        ).astype(np.int32)
-        return df
-
-    cnt_dtype = np.float64 if weighted else np.int64
-    cnt_col = "ws" if weighted else "cnt"
-
-    def expand(g: pd.DataFrame, cap=max_wedge_degree, chunk=1 << 22
-               ) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"pk": pd.Series(dtype=np.int64),
-             cnt_col: pd.Series(dtype=cnt_dtype)}
-        )
-        if not len(g):
-            return empty
-        s = g["s"].to_numpy(np.int64)
-        d = g["d"].to_numpy(np.int64)
-        order = np.lexsort((d, s))  # apex-major, neighbors ascending
-        s, d = s[order], d[order]
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        sizes = np.diff(np.r_[starts, len(s)])
-        if cap is not None:
-            keep = np.repeat(sizes <= cap, sizes)
-            s, d = s[keep], d[keep]
-            if not len(s):
-                return empty
-            starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-            sizes = np.diff(np.r_[starts, len(s)])
-        wts = ray.get(wtref) if weighted else None
-        frames = []
-        for row_idx, off in _ragged_triu_chunks(sizes, chunk):
-            # neighbors sorted within each apex segment → d[i] < d[j]
-            pk = d[row_idx] * V + d[row_idx + off + 1]
-            if weighted:
-                upk, inv = np.unique(pk, return_inverse=True)
-                ws = np.bincount(inv, weights=wts[s[row_idx]])
-                frames.append(pd.DataFrame({"pk": upk, cnt_col: ws}))
-            else:
-                upk, cnt = np.unique(pk, return_counts=True)
-                frames.append(
-                    pd.DataFrame({"pk": upk, cnt_col: cnt.astype(np.int64)})
-                )
-        if not frames:
-            return empty
-        return pd.concat(frames, ignore_index=True)
-
-    parts = (
-        int_edges.map_batches(add_wb, batch_format="pandas")
-        .groupby("wb")
-        .map_groups(expand, batch_format="pandas")
-    )
-    common = hash_aggregate(
-        parts, ["pk"], {"common": (cnt_col, "sum")}, num_buckets=num_buckets
-    )
-    if shared_state is not None:
-        common = common.materialize()
-        shared_state[ck] = (common, dref, vref, V)
-    return _resident_fin(common, dref, vref, V, kind, cnt_dtype)
-
-
-def _similarity_core_local(edges_ds, max_wedge_degree, vertex_weights):
-    """Driver-local kind-independent similarity core for small edge sets:
-    the SAME per-apex ragged-triu expansion and degree math as the
-    resident path, on numpy arrays.  Returns (upk, common, deg, varr, V)
-    — common counts are exact sums, so the single-division coefficients
-    match the distributed path bit-for-bit."""
-    df = edges_ds.to_pandas()
-    varr = np.unique(df["src"].to_numpy())
-    V = len(varr)
-    s = np.searchsorted(varr, df["src"].to_numpy())
-    d = np.searchsorted(varr, df["dst"].to_numpy())
-    weighted = vertex_weights is not None
-    if weighted:
-        wdf = vertex_weights.to_pandas()
-        widx = pd.Index(varr).get_indexer(wdf["vertex"].to_numpy())
-        wt = np.zeros(V, dtype=np.float64)
-        ok = widx >= 0
-        wt[widx[ok]] = wdf["weight"].to_numpy(np.float64)[ok]
-        deg = np.bincount(s, weights=wt[d], minlength=V)
-    else:
-        wt = None
-        deg = np.bincount(s, minlength=V).astype(np.float64)
-    order = np.lexsort((d, s))  # apex-major, neighbors ascending
-    s, d = s[order], d[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    sizes = np.diff(np.r_[starts, len(s)])
-    if max_wedge_degree is not None:
-        keep = np.repeat(sizes <= max_wedge_degree, sizes)
-        s, d = s[keep], d[keep]
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        sizes = np.diff(np.r_[starts, len(s)])
-    pks, cnts = [], []
-    for row_idx, off in _ragged_triu_chunks(sizes, 1 << 22):
-        pk = d[row_idx] * V + d[row_idx + off + 1]
-        upk, inv = np.unique(pk, return_inverse=True)
-        pks.append(upk)
-        if weighted:
-            cnts.append(np.bincount(inv, weights=wt[s[row_idx]]))
-        else:
-            cnts.append(np.bincount(inv).astype(np.float64))
-    if pks:
-        allpk = np.concatenate(pks)
-        allc = np.concatenate(cnts)
-        upk, inv = np.unique(allpk, return_inverse=True)
-        common = np.bincount(inv, weights=allc)
-    else:
-        upk = np.empty(0, np.int64)
-        common = np.empty(0, np.float64)
-    return upk, common, deg, varr, V
-
-
-def _similarity_fin_local(upk, common, deg, varr, V, kind, weighted):
     import ray.data as rd
 
-    ai, bi = upk // V, upk % V
-    c = common.astype(np.float64)
-    da, db = deg[ai], deg[bi]
-    if kind == "jaccard":
-        v = c / (da + db - c)
-    elif kind == "sorensen":
-        v = 2.0 * c / (da + db)
-    elif kind == "overlap":
-        v = c / np.minimum(da, db)
-    else:
-        raise ValueError(kind)
-    return rd.from_pandas(
-        pd.DataFrame(
-            {
-                "a": varr[ai],
-                "b": varr[bi],
-                "common": common.astype(
-                    np.float64 if weighted else np.int64),
-                "coeff": v,
-            }
-        )
-    )
-
-
-def _resident_fin(common, dref, vref, V, kind, cnt_dtype):
-    """Kind-specific finalize over the resident path's per-pair common
-    table (broadcast degree + dictionary lookups; the only stage that
-    differs between jaccard / sorensen / overlap)."""
-    import ray
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        deg = ray.get(dref)
-        va = ray.get(vref)[0]
-        pk = df["pk"].to_numpy(np.int64)
-        ai, bi = pk // V, pk % V
-        c = df["common"].to_numpy(np.float64)
-        da, db = deg[ai], deg[bi]
-        if kind == "jaccard":
-            v = c / (da + db - c)
-        elif kind == "sorensen":
-            v = 2.0 * c / (da + db)
-        elif kind == "overlap":
-            v = c / np.minimum(da, db)
-        else:
-            raise ValueError(kind)
-        return pd.DataFrame(
-            {
-                "a": va[ai],
-                "b": va[bi],
-                "common": df["common"].to_numpy(cnt_dtype),
-                "coeff": v,
-            }
-        )
-
-    return common.map_batches(fin, batch_format="pandas")
-
-
-def _pairwise_similarity_join(
-    edges_ds,
-    kind: str = "jaccard",
-    num_buckets: int = 64,
-    max_wedge_degree: Optional[int] = None,
-    vertex_weights=None,
-    broadcast_limit: int = 20_000_000,
-):
-    """Bucketed-join formulation of :func:`pairwise_similarity` — the
-    scale fallback when the vertex dictionary exceeds the broadcast gate.
-    Exact unless ``max_wedge_degree`` caps hub-mediated wedges; the
-    self-join on the shared endpoint emits |N(w)|² wedge rows per shared
-    endpoint, so prefer the resident fast path whenever V fits."""
-    from raygraph.agg import hash_aggregate
-
-    # the edge list feeds the degree aggregate AND both wedge sides (and
-    # the weight table when weighted) — pin it once so the caller's
-    # upstream pipeline (distinct/symmetrize exchanges) runs once, not
-    # once per consumer
-    edges_ds = edges_ds.materialize()
     weighted = vertex_weights is not None
-    kv_ref = None
-    if weighted:
-        vertex_weights = vertex_weights.materialize()  # 2 consumers
-        # weight table ≤ broadcast_limit rows: ship it once via ray.put
-        # and attach map-side — saves the two weight-attach exchanges
-        # (volume join + wedge-side join); past the gate, bucketed joins
-        kv_ref = _weights_kv_ref(vertex_weights, broadcast_limit)
-        deg = _volumes(edges_ds, vertex_weights, num_buckets, kv_ref=kv_ref)
-    else:
-        deg = hash_aggregate(edges_ds, ["src"], {"deg": (None, "count")})
-
-    if max_wedge_degree is not None:
-        # attach deg(w) once (one bucketed join), drop hub-mediated wedges;
-        # the cap always reasons about RAW degree (wedge fan-out), even
-        # when the coefficient itself is weighted
-        rawdeg = (
-            hash_aggregate(edges_ds, ["src"], {"deg": (None, "count")})
-            if weighted else deg
-        )
-        degw = rawdeg.map_batches(
-            lambda df: df.rename(columns={"src": "w", "deg": "deg_w"}),
-            batch_format="pandas",
-        )
-        base = joins.hash_join(
-            edges_ds.map_batches(
-                lambda df: df.rename(columns={"src": "x", "dst": "w"})[["x", "w"]],
-                batch_format="pandas",
-            ),
-            degw,
-            on="w",
-            num_buckets=num_buckets,
-        ).map_batches(
-            lambda df, cap=max_wedge_degree: df.loc[
-                df["deg_w"] <= cap, ["x", "w"]
-            ],
-            batch_format="pandas",
-        ).materialize()  # consumed by both wedge sides
-        left = base.map_batches(
-            lambda df: df.rename(columns={"x": "a"}), batch_format="pandas"
-        )
-        right = base.map_batches(
-            lambda df: df.rename(columns={"x": "b"}), batch_format="pandas"
-        )
-    else:
-        left = edges_ds.map_batches(
-            lambda df: df.rename(columns={"src": "a", "dst": "w"})[["a", "w"]],
-            batch_format="pandas",
-        )
-        right = edges_ds.map_batches(
-            lambda df: df.rename(columns={"src": "b", "dst": "w"})[["b", "w"]],
-            batch_format="pandas",
-        )
-    if weighted:
-        # carry w's weight through the wedge: attach once to the left side
-        if kv_ref is not None:
-            left = left.map_batches(
-                lambda df, kv=kv_ref: _attach_wt_bc(df, kv, "w"),
-                batch_format="pandas",
-            )
+    ck = ("pairs", weighted)
+    pairs = shared_state.get(ck) if shared_state is not None else None
+    if pairs is None:
+        # Arrow blocks: string keys then take the Arrow join path too
+        edges_ds = edges_ds.map_batches(
+            lambda t: t.select(["src", "dst"]), batch_format="pyarrow"
+        ).materialize()
+        key = edges_ds.schema().base_schema.field("src").type
+        if edges_ds.count() <= local_edge_limit:
+            pairs = _pairs_local(edges_ds, vertex_weights, key)
         else:
-            left = joins.hash_join(
-                left, _endpoint_weights(vertex_weights, num_buckets),
-                on="w", num_buckets=num_buckets,
-            )
-    wedge = joins.hash_join(left, right, on="w", num_buckets=num_buckets)
-    keep = ["a", "b", "__wt"] if weighted else ["a", "b"]
-    pairs = wedge.map_batches(
-        lambda df, keep=keep: df.loc[df["a"] < df["b"], keep],
-        batch_format="pandas",
+            pairs = _pairs_ds(edges_ds, vertex_weights, num_buckets)
+            if pairs.count() == 0:
+                # Ray drops the schema of an all-empty result: the driver
+                # executor on no rows gives the typed empty table instead
+                pairs = _pairs_local(
+                    edges_ds.limit(0),
+                    vertex_weights.limit(0) if weighted else None, key)
+        if shared_state is not None:
+            shared_state[ck] = pairs
+    if isinstance(pairs, pa.Table):
+        return rd.from_arrow(_with_coeff(pairs, kind))
+    return pairs.map_batches(
+        _with_coeff, fn_kwargs={"kind": kind}, batch_format="pyarrow"
     )
-    common = hash_aggregate(
-        pairs, ["a", "b"],
-        {"common": ("__wt", "sum") if weighted else (None, "count")},
-    )
-    return _attach_coeff(common, deg, kind, num_buckets, weighted=weighted)
 
 
 def pair_similarity(
@@ -590,8 +369,9 @@ def pair_similarity(
 
     Work: join pairs to N(a) (Σ deg(a) rows), keep the rows whose wedge
     endpoint is also in N(b) (one more bucketed join), count per pair.
-    No quadratic expansion under any skew.  Pairs with no common neighbor
-    are returned with common=0 / coeff=0.
+    No quadratic expansion under any skew.  Every pair keeps its row:
+    pairs with no common neighbor (or naming a vertex with no edges) are
+    returned with common=0 / coeff=0.
     Returns (a, b, common, coeff).
 
     ``vertex_weights``: optional (vertex, weight) Dataset → weighted
@@ -628,7 +408,7 @@ def pair_similarity(
             )
         else:
             hit = joins.hash_join(
-                hit, _endpoint_weights(vertex_weights, num_buckets),
+                hit, _endpoint_weights(vertex_weights),
                 on="w", num_buckets=num_buckets,
             )
     counted = hash_aggregate(
@@ -649,4 +429,4 @@ def pair_similarity(
         ),
         batch_format="pandas",
     )
-    return _attach_coeff(common, deg, kind, num_buckets, weighted=weighted)
+    return _attach_coeff(common, deg, kind, num_buckets)

@@ -445,8 +445,8 @@ def _user_similarity(sf_dir: str, kind: str, weighted: bool = False):
             shared_state=_USER_SIM_CORE.setdefault(sf_dir, {}),
         )
     else:
-        # the kind-independent core (pair common counts + degree
-        # broadcasts) is shared across the jaccard/sorensen/overlap
+        # the kind-independent core (pair common counts + endpoint
+        # degrees) is shared across the jaccard/sorensen/overlap
         # queries in one process — only the finalize map differs
         sim = pairwise_similarity(
             sym, kind=kind,

@@ -1,5 +1,7 @@
 """Tests: structural ops + triangle counting vs oracles."""
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -272,44 +274,21 @@ def test_pair_similarity_matches_bruteforce():
         assert abs(r.coeff - (inter / union if union else 0.0)) < 1e-12
 
 
-def test_pairwise_similarity_wedge_cap():
-    """max_wedge_degree drops hub-mediated wedges: pairs connected only
-    through the capped hub vanish; other counts exclude the hub but the
-    degrees stay exact — and the quadratic hub expansion never happens."""
-    from raygraph.algos.similarity import pairwise_similarity
+def test_pair_similarity_keeps_pairs_of_absent_vertices():
+    """A caller pair naming a vertex with no edges keeps its row, with
+    common 0 and coefficient 0 (the brute-force tests' empty-union rule)."""
+    from raygraph.algos.similarity import pair_similarity
 
-    # hub 0 connected to 1..40 (degree 40); plus a triangle 1-2-3
-    hub = pd.DataFrame({"src": np.zeros(40, np.int64),
-                        "dst": np.arange(1, 41, dtype=np.int64)})
-    tri = pd.DataFrame({"src": [1, 2, 1], "dst": [2, 3, 3]})
-    df = pd.concat([hub, tri], ignore_index=True)
-    adj = _sym_sets(df)
-
-    full = (
-        pairwise_similarity(_sym_ds(df), kind="jaccard")
+    df = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+    pairs = pd.DataFrame({"a": [0, 0, 5], "b": [2, 7, 9]})
+    got = (
+        pair_similarity(_sym_ds(df), rd.from_pandas(pairs), kind="jaccard",
+                        num_buckets=8)
         .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     )
-    capped = (
-        pairwise_similarity(_sym_ds(df), kind="jaccard", max_wedge_degree=10)
-        .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-    )
-    # full: every leaf pair (i,j) shares hub 0 → C(40,2) + ... rows
-    assert len(full) > len(capped)
-    # capped oracle: common counts over shared endpoints with deg <= 10
-    deg = {v: len(s) for v, s in adj.items()}
-    for r in capped.itertuples():
-        inter = {w for w in adj[r.a] & adj[r.b] if deg[w] <= 10}
-        union = len(adj[r.a] | adj[r.b])
-        assert r.common == len(inter) and len(inter) > 0
-        assert abs(r.coeff - r.common / (deg[r.a] + deg[r.b] - r.common)) < 1e-12
-    # every pair with a low-degree shared endpoint is present
-    want = set()
-    verts = sorted(adj)
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if any(deg[w] <= 10 for w in adj[a] & adj[b]):
-                want.add((a, b))
-    assert set(zip(capped["a"], capped["b"])) == want
+    assert list(zip(got["a"], got["b"])) == [(0, 2), (0, 7), (5, 9)]
+    assert got["common"].tolist() == [1, 0, 0]
+    assert got["coeff"].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_weighted_pairwise_similarity_matches_bruteforce():
@@ -440,27 +419,16 @@ def test_k_truss_peel_to_empty_keeps_schema(ray_session):
 
 
 def test_weighted_similarity_join_fallback_matches_broadcast(ray_session):
-    """broadcast_limit=0 forces the bucketed-join weight attach; results
-    must equal the default broadcast path bit-for-bit (integer-valued
-    weights make every sum exact)."""
-    from raygraph.algos.similarity import pair_similarity, pairwise_similarity
+    """broadcast_limit=0 forces pair_similarity's bucketed-join weight
+    attach; results must equal the default broadcast path bit-for-bit
+    (integer-valued weights make every sum exact)."""
+    from raygraph.algos.similarity import pair_similarity
 
     df = fixtures.karate_df()
     adj = _sym_sets(df)
     wts = rd.from_pandas(pd.DataFrame(
         {"vertex": sorted(adj), "weight": [float(v % 5 + 1) for v in sorted(adj)]}
     ))
-    bc = (
-        pairwise_similarity(_sym_ds(df), kind="jaccard", vertex_weights=wts)
-        .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-    )
-    jn = (
-        pairwise_similarity(_sym_ds(df), kind="jaccard", vertex_weights=wts,
-                            local_edge_limit=0, broadcast_limit=0)
-        .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(bc, jn[bc.columns])
-
     some_pairs = rd.from_pandas(
         pd.DataFrame({"a": [0, 1, 2], "b": [33, 33, 33]})
     )
@@ -477,62 +445,87 @@ def test_weighted_similarity_join_fallback_matches_broadcast(ray_session):
     pd.testing.assert_frame_equal(bcp, jnp[bcp.columns])
 
 
-def test_pairwise_similarity_fast_matches_join_fallback():
-    """The resident-wedge fast path and the bucketed-join fallback must
-    produce identical frames (weighted and not, string and int keys)."""
+@pytest.mark.parametrize(
+    "keys,weighted,kind",
+    list(itertools.product(("int", "str"), (False, True),
+                           ("jaccard", "sorensen", "overlap"))),
+    ids=lambda v: {False: "unweighted", True: "weighted"}.get(v, v),
+)
+def test_pairwise_similarity_executor_equivalence(keys, weighted, kind):
+    """The driver executor (one kernel call on the whole table) and the
+    Dataset executor (one call per apex bucket, then the (a,b) aggregate)
+    return identical frames, dtypes included."""
     from raygraph.algos.similarity import pairwise_similarity
 
-    df = fixtures.karate_df()
+    df = fixtures.karate_df()[["src", "dst"]]
     wts_df = pd.DataFrame(
         {"vertex": np.arange(34), "weight": (np.arange(34) % 4 + 1.0)}
     )
+    if keys == "str":
+        def name(c):
+            return "v::" + c.astype(str).str.zfill(3)
 
-    def norm(ds):
+        df = df.assign(src=name(df["src"]), dst=name(df["dst"]))
+        wts_df = wts_df.assign(vertex=name(wts_df["vertex"]))
+
+    def run(**kw):
+        wts = rd.from_pandas(wts_df) if weighted else None
         return (
-            ds.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+            pairwise_similarity(_sym_ds(df), kind=kind, vertex_weights=wts,
+                                **kw)
+            .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
         )
 
-    for weighted in (False, True):
-        wts = rd.from_pandas(wts_df) if weighted else None
-        loc = norm(pairwise_similarity(
-            _sym_ds(df), kind="jaccard", vertex_weights=wts))
-        fast = norm(pairwise_similarity(
-            _sym_ds(df), kind="jaccard", vertex_weights=wts,
-            local_edge_limit=0))  # forces the resident Dataset path
-        slow = norm(pairwise_similarity(
-            _sym_ds(df), kind="jaccard", vertex_weights=wts,
-            local_edge_limit=0,
-            broadcast_limit=0))  # forces the join fallback
-        pd.testing.assert_frame_equal(loc, fast)
-        pd.testing.assert_frame_equal(fast, slow)
-
-    # string keys: int order of the sorted dictionary ≡ key order
-    sdf = df.copy()
-    sdf["src"] = "v::" + sdf["src"].astype(str).str.zfill(3)
-    sdf["dst"] = "v::" + sdf["dst"].astype(str).str.zfill(3)
-    loc = norm(pairwise_similarity(_sym_ds(sdf), kind="sorensen"))
-    fast = norm(pairwise_similarity(_sym_ds(sdf), kind="sorensen",
-                                    local_edge_limit=0))
-    slow = norm(pairwise_similarity(_sym_ds(sdf), kind="sorensen",
-                                    local_edge_limit=0, broadcast_limit=0))
-    pd.testing.assert_frame_equal(loc, fast)
-    pd.testing.assert_frame_equal(fast, slow)
-    assert (fast["a"] < fast["b"]).all()
+    driver = run()
+    dataset = run(local_edge_limit=0, num_buckets=8)
+    pd.testing.assert_frame_equal(driver, dataset)
+    assert len(driver) > 0 and (driver["a"] < driver["b"]).all()
 
 
-def test_pairwise_similarity_hub_exact_without_cap():
-    """A degree-200 hub is exact on the fast path with no wedge cap —
-    the expansion happens in bounded chunks from resident adjacency."""
+@pytest.mark.parametrize("local_edge_limit", [500_000, 0],
+                         ids=["driver", "dataset"])
+def test_pairwise_similarity_hub_exact_without_cap(local_edge_limit):
+    """A degree-200 hub is exact on both executors with no wedge cap —
+    the expansion happens in bounded chunks from each apex's rows."""
     from raygraph.algos.similarity import pairwise_similarity
 
     hub = pd.DataFrame({"src": np.zeros(200, np.int64),
                         "dst": np.arange(1, 201, dtype=np.int64)})
-    got = pairwise_similarity(_sym_ds(hub), kind="jaccard").to_pandas()
+    got = pairwise_similarity(
+        _sym_ds(hub), kind="jaccard", num_buckets=8,
+        local_edge_limit=local_edge_limit,
+    ).to_pandas()
     # every leaf pair shares exactly the hub; hub pairs with no one
     assert len(got) == 200 * 199 // 2
     assert (got["common"] == 1).all()
     leaf = got[(got["a"] > 0) & (got["b"] > 0)]
     assert np.allclose(leaf["coeff"], 1.0)  # deg 1+1-1
+
+
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("local_edge_limit", [500_000, 0],
+                         ids=["driver", "dataset"])
+def test_pairwise_similarity_no_wedge_keeps_schema(local_edge_limit,
+                                                   weighted):
+    """Two disjoint edges share no neighbor: an EMPTY result that still
+    carries the typed (a, b, common, coeff) schema on both executors."""
+    import pyarrow as pa
+
+    from raygraph.algos.similarity import pairwise_similarity
+
+    df = pd.DataFrame({"src": [0, 2], "dst": [1, 3]})
+    wts = (rd.from_pandas(pd.DataFrame({"vertex": [0, 1, 2, 3],
+                                        "weight": [1.0] * 4}))
+           if weighted else None)
+    out = pairwise_similarity(_sym_ds(df), vertex_weights=wts,
+                              num_buckets=8,
+                              local_edge_limit=local_edge_limit)
+    assert out.count() == 0
+    assert list(out.schema().names) == ["a", "b", "common", "coeff"]
+    assert list(out.schema().types) == [
+        pa.int64(), pa.int64(), pa.float64() if weighted else pa.int64(),
+        pa.float64()]
 
 
 def test_k_truss_local_matches_dataset_path(tmp_path):
