@@ -129,10 +129,8 @@ def _mst_local(graph, max_rounds):
     numpy arrays — the chosen edges match the Dataset rounds exactly."""
     import ray.data as rd
 
-    df = _canonical_edges(graph).to_pandas()
-    a = df["src"].to_numpy(np.int64)
-    b = df["dst"].to_numpy(np.int64)
-    w = df["weight"].to_numpy(np.float64)
+    t = _canonical_edges(graph, local=True)
+    a, b, w = (c.to_numpy() for c in t.columns)
     ca, cb = a.copy(), b.copy()
     V = max(graph.num_vertices, 1)
     out_a, out_b, out_w = [], [], []
@@ -207,7 +205,7 @@ def minimum_spanning_tree(graph, max_rounds: int = 64,
 
     # canonical (a < b) edges, min weight per pair (multi-edge rule: the
     # cheapest parallel edge is the only MST candidate)
-    work = _canonical_edges(graph).map_batches(
+    work = _canonical_edges(graph, local=False).map_batches(
         lambda df: pd.DataFrame(
             {"a": df["src"].to_numpy(np.int64),
              "b": df["dst"].to_numpy(np.int64),

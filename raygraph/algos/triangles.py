@@ -5,20 +5,23 @@ Pipeline mirrors ``cpp/src/community/triangle_count_impl.cuh`` (443 LoC):
 1. drop self-loops                                  (:193-227)
 2. (optional 2-core filter — pure optimization, skipped; identical output)
 3. orient each undirected edge low-degree→high-degree, ties by vertex id
-   (``low_to_high_degree_t``, :86-98) — every undirected edge kept exactly
-   once and max out-degree is bounded ~O(√E), which bounds the wedge count
-4. count: the reference intersects N+(u)∩N+(v) per edge
-   (``transform_reduce_dst_nbr_intersection_of_e_endpoints_by_v.cuh``); the
-   relational equivalent used here is wedge-join: for each apex u emit every
-   oriented out-neighbor pair (a,b) as a wedge, then inner-join wedges
-   against the oriented edge list on (a,b) — each match is one triangle
-   (u,a,b) and all three corners get +1 (``intersection_op_t``, :100-113)
+   (``low_to_high_degree_t``, :86-98) — every triangle is then found once,
+   at its lowest-ranked corner, and max out-degree is bounded ~O(√E)
+4. count: N+(u)∩N+(v) per edge
+   (``transform_reduce_dst_nbr_intersection_of_e_endpoints_by_v.cuh``);
+   all three corners get +1 (``intersection_op_t``, :100-113)
 5. per-vertex sum, zero-filled over all vertices    (:349-366)
 
-Wedges are generated per-src with ``groupby(src).map_groups`` (vectorized
-triu pair expansion), the join is a bucketed hash join on the composite
-(src,dst) key, and corner counts are pre-aggregated per batch before the
-final groupby — all flat int64 tables, no ragged columns.
+One wedge kernel, :func:`_wedges`, does steps 1 and 3 on Arrow rows
+``(src = apex, dst = neighbor, deg = neighbor degree)``: it orients each
+apex's adjacency locally by (degree, id) and expands the higher-ranked
+neighbor pairs in bounded chunks.  It has two consumers: the driver
+executor here (one call on the driver table, wedges closed by
+``searchsorted`` on the packed canonical edge key) and k-truss support
+(:mod:`raygraph.algos.truss`, on the driver table or per apex bucket).
+Past the small-graph gate, step 4 runs on the BSP engine instead
+(:func:`_triangle_count_intersect`: resident adjacency, no wedge rows
+cross the network).
 
 Requires an undirected simple graph (asserts like
 ``triangle_count_impl.cuh:154-159``).  Output: Dataset
@@ -32,205 +35,80 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raygraph import joins, ops
 
+def triangle_count(graph, num_workers=None):
+    """Per-vertex triangle counts.  Graphs with ≤ 400k edges run
+    :func:`_wedges` on the driver table; larger ones (or ``num_workers=``)
+    run the resident-adjacency intersection on the BSP engine.  The
+    driver kernel stays the small-graph executor because it measured
+    faster than the intersection kernel run in the driver (365 vs 470 ms
+    on a 341k-edge graph)."""
+    from raygraph.superstep import gate_executor
 
-def triangle_count(graph, broadcast_limit: int = 20_000_000,
-                   method: str = "auto", num_workers=None):
-    """``method``: 'intersect' runs the resident-adjacency intersection on
-    the BSP engine (the reference's in-task N+(u)∩N+(v) shape — no wedge
-    rows cross the network); 'wedge' runs the relational wedge-join;
-    'auto' picks intersect once the graph is big enough to amortize the
-    engine spin-up."""
     if graph.directed:
         raise ValueError(
             "triangle_count requires an undirected graph (build with directed=False)"
         )
-    if method == "auto":
-        method = "intersect" if graph.num_edges > 400_000 else "local"
-    if method == "intersect":
-        return _triangle_count_intersect(graph, num_workers=num_workers)
-    if method == "local":
-        # wedge-path replica, kept on purpose: the intersect kernel run in
-        # the driver measured 470 ms against its 365 ms on a 341k-edge graph
+    if gate_executor(graph, num_workers, None, False, 400_000) == "driver":
         return _triangle_count_local(graph)
-    import ray
+    return _triangle_count_intersect(graph, num_workers=num_workers)
 
-    edges = graph.edges_dataset(columns=["src", "dst"])
-    V = graph.num_vertices
 
-    deg_ds = ops.degrees(graph)
-    if V <= broadcast_limit:
-        # broadcast orientation: V-sized degree array placed once, read
-        # zero-copy in every map task; the dst's degree rides along on each
-        # oriented edge so wedge generation needs no V-sized state at all
-        ddf = deg_ds.to_pandas().sort_values("vertex")
-        deg = np.zeros(V, dtype=np.int64)
-        deg[ddf["vertex"].to_numpy()] = ddf["out_degree"].to_numpy()
-        dref = ray.put(deg)
+def _wedges(t: pa.Table, chunk: int = 1 << 22):
+    """The wedge kernel.  Rows ``(src = apex, dst = neighbor, deg =
+    neighbor degree)``, each apex's complete adjacency present (its degree
+    is its row count) → Arrow chunks ``(apex, src, dst)`` of at most
+    ``chunk`` rows, one per pair src < dst of neighbors both ranked above
+    the apex in the (degree, id) order.
 
-        def orient(t: pa.Table) -> pa.Table:
-            d = ray.get(dref)
-            src = t.column("src").to_numpy()
-            dst = t.column("dst").to_numpy()
-            keep = (src != dst) & (
-                (d[src] < d[dst]) | ((d[src] == d[dst]) & (src < dst))
-            )
-            return pa.table(
-                {"src": src[keep], "dst": dst[keep], "ddeg": d[dst[keep]]}
-            )
+    A triangle's wedge is emitted at its lowest-ranked corner only, so
+    closing each (src, dst) against the canonical edge set finds every
+    triangle exactly once.  Self-loops never rank above their apex."""
+    from raygraph.algos.similarity import _ragged_triu_chunks
 
-        oriented3 = edges.map_batches(
-            orient, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        # degree-join orientation (scale path): two bucketed hash joins
-        # attach sdeg/ddeg, then the same low→high filter — no V-sized
-        # object anywhere (the reference's low_to_high_degree_t as a join)
-        sdeg = deg_ds.map_batches(
-            lambda df: pd.DataFrame(
-                {"src": df["vertex"].to_numpy(np.int64),
-                 "sdeg": df["out_degree"].to_numpy(np.int64)}
-            ),
-            batch_format="pandas",
-        )
-        ddeg = deg_ds.map_batches(
-            lambda df: pd.DataFrame(
-                {"dst": df["vertex"].to_numpy(np.int64),
-                 "ddeg": df["out_degree"].to_numpy(np.int64)}
-            ),
-            batch_format="pandas",
-        )
-        e1 = joins.hash_join(edges, sdeg, on="src")
-        e2 = joins.hash_join(e1, ddeg, on="dst")
-
-        def orient_joined(df: pd.DataFrame) -> pd.DataFrame:
-            src = df["src"].to_numpy(np.int64)
-            dst = df["dst"].to_numpy(np.int64)
-            ds_ = df["sdeg"].to_numpy(np.int64)
-            dd = df["ddeg"].to_numpy(np.int64)
-            keep = (src != dst) & ((ds_ < dd) | ((ds_ == dd) & (src < dst)))
-            return pd.DataFrame(
-                {"src": src[keep], "dst": dst[keep], "ddeg": dd[keep]}
-            )
-
-        oriented3 = e2.map_batches(orient_joined, batch_format="pandas")
-
-    oriented3 = oriented3.materialize()  # reused: wedge source + join probe side
-    oriented = oriented3.map_batches(
-        lambda t: t.select(["src", "dst"]), batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    # Wedge generation needs all out-edges of an apex together.  A per-vertex
-    # map_groups pays per-group overhead × V; instead group by a hash BUCKET
-    # of the apex (few groups) and expand each apex's pairs vectorized inside.
-    from raygraph.hashing import hash_int64
-
-    WEDGE_BUCKETS = 64
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = (hash_int64(t.column("src").to_numpy()) % np.uint64(WEDGE_BUCKETS)).astype(
-            np.int32
-        )
-        return t.append_column("wb", pa.array(b, pa.int32()))
-
-    def make_wedges(g: pd.DataFrame) -> pa.Table:
-        srcs = g["src"].to_numpy(np.int64)
-        dsts = g["dst"].to_numpy(np.int64)
-        degs = g["ddeg"].to_numpy(np.int64)  # degree of each neighbor (dst)
-        order = np.argsort(srcs, kind="stable")
-        srcs, dsts, degs = srcs[order], dsts[order], degs[order]
-        # group boundaries over the sorted apex column
-        starts = np.flatnonzero(np.r_[True, srcs[1:] != srcs[:-1]])
-        ends = np.r_[starts[1:], len(srcs)]
-        out_a, out_b, out_u = [], [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            nbrs = dsts[s:e]
-            nbrd = degs[s:e]
-            i, j = np.triu_indices(n, k=1)
-            a, b = nbrs[i], nbrs[j]
-            da, db = nbrd[i], nbrd[j]
-            # orient each wedge pair by the (degree, id) total order so it
-            # can only match the single stored direction of the closing edge
-            swap = (db < da) | ((db == da) & (b < a))
-            out_a.append(np.where(swap, b, a))
-            out_b.append(np.where(swap, a, b))
-            out_u.append(np.full(len(a), srcs[s]))
-        if not out_a:
-            return pa.table(
-                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                 "apex": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {"src": np.concatenate(out_a), "dst": np.concatenate(out_b),
-             "apex": np.concatenate(out_u)}
-        )
-
-    bucketed = oriented3.map_batches(add_bucket, batch_format="pyarrow")
-    wedges = bucketed.groupby("wb").map_groups(make_wedges, batch_format="pandas")
-
-    triangles = joins.hash_join(wedges, oriented, on=["src", "dst"])
-
-    def corner_partials(df: pd.DataFrame) -> pa.Table:
-        # output is Arrow so the zero-fill union sees uniform block types
-        if not len(df):
-            return pa.table(
-                {"vertex": pa.array([], pa.int64()), "counts": pa.array([], pa.int64())}
-            )
-        corners = np.concatenate(
-            [df["src"].to_numpy(np.int64), df["dst"].to_numpy(np.int64),
-             df["apex"].to_numpy(np.int64)]
-        )
-        v, c = np.unique(corners, return_counts=True)
-        return pa.table({"vertex": v, "counts": c.astype(np.int64)})
-
-    partial = triangles.map_batches(corner_partials, batch_format="pandas")
-    return ops._vertex_zero_fill(partial, V, ["counts"])
+    u = t.column("src").to_numpy()
+    v = t.column("dst").to_numpy()
+    dv = t.column("deg").to_numpy()
+    o = np.lexsort((v, u))  # apex-major, neighbors ascending by id
+    u, v, dv = u[o], v[o], dv[o]
+    starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+    sizes = np.diff(np.r_[starts, len(u)])
+    du = np.repeat(sizes, sizes)
+    up = (dv > du) | ((dv == du) & (v > u))
+    u, v = u[up], v[up]
+    starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+    for row_idx, off in _ragged_triu_chunks(
+            np.diff(np.r_[starts, len(u)]), chunk):
+        yield pa.table({"apex": u[row_idx], "src": v[row_idx],
+                        "dst": v[row_idx + off + 1]})
 
 
 def _triangle_count_local(graph):
-    """Driver-local exact count for small graphs: same (deg, id)
-    low→high orientation and rank-ordered wedge closure as the Dataset
-    paths (the ``_k_truss_local`` trick, crediting corners), one
-    zero-filled (vertex, counts) result — no engine, no shuffles."""
+    """Driver executor: :func:`_wedges` once on the driver table, each
+    wedge closed by ``searchsorted`` on the sorted packed canonical key,
+    every closed wedge crediting its three corners."""
     import ray.data as rd
 
-    from raygraph.algos.similarity import _ragged_triu_chunks
+    from raygraph.graph import _driver_table
 
     V = graph.num_vertices
-    df = graph.edges_dataset(columns=["src", "dst"]).to_pandas()
-    src = df["src"].to_numpy(np.int64)
-    dst = df["dst"].to_numpy(np.int64)
+    t = _driver_table(graph.edges_dataset(columns=["src", "dst"]),
+                      pa.schema({"src": pa.int64(), "dst": pa.int64()}))
+    src = t.column("src").to_numpy()
+    dst = t.column("dst").to_numpy()
+    # both directions stored (undirected) → src bincount IS the degree
+    deg = np.bincount(src, minlength=V)
+    fwd = src < dst
+    ksorted = np.sort(src[fwd] * V + dst[fwd])
     counts = np.zeros(V, np.int64)
-    if len(src):
-        # both directions stored (undirected) → src bincount IS the degree
-        deg = np.bincount(src, minlength=V)
-        keep = (src != dst) & (
-            (deg[src] < deg[dst]) | ((deg[src] == deg[dst]) & (src < dst))
-        )
-        ou, ov = src[keep], dst[keep]
-        order = np.lexsort((np.arange(V), deg))  # total order (deg, id)
-        r = np.empty(V, np.int64)
-        r[order] = np.arange(V)
-        o2 = np.lexsort((r[ov], ou))  # apex-major, heads ascending by rank
-        au, av = ou[o2], ov[o2]
-        starts = np.flatnonzero(np.r_[True, au[1:] != au[:-1]])
-        sizes = np.diff(np.r_[starts, len(au)])
-        ksorted = np.sort(ou * V + ov)
-        for row_idx, off in _ragged_triu_chunks(sizes, 1 << 22):
-            a1, a2 = av[row_idx], av[row_idx + off + 1]
-            wkey = a1 * V + a2  # rank order ⇒ stored orientation
-            pos = np.searchsorted(ksorted, wkey)
-            posc = np.minimum(pos, len(ksorted) - 1)
-            hit = ksorted[posc] == wkey
-            corners = np.concatenate(
-                [au[row_idx][hit], a1[hit], a2[hit]]
-            )
-            counts += np.bincount(corners, minlength=V)
+    for w in _wedges(pa.table({"src": src, "dst": dst, "deg": deg[dst]})):
+        a, b = w.column("src").to_numpy(), w.column("dst").to_numpy()
+        wkey = a * V + b
+        pos = np.minimum(np.searchsorted(ksorted, wkey), len(ksorted) - 1)
+        hit = ksorted[pos] == wkey
+        counts += np.bincount(
+            np.concatenate([w.column("apex").to_numpy()[hit], a[hit], b[hit]]),
+            minlength=V)
     return rd.from_pandas(
         pd.DataFrame(
             {"vertex": np.arange(V, dtype=np.int64), "counts": counts}

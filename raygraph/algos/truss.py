@@ -7,11 +7,15 @@ subgraph*.  The reference ships golden outputs
 (``datasets/ref/ktruss/{polbooks,netscience}.csv``, k=5) which our test
 replays.
 
-Ray mapping: per round, per-edge triangle support is computed with the
-same degree-oriented wedge-join used by ``triangle_count`` (each found
-triangle credits its three canonical edges), then edges below k−2 are
-dropped; repeat to fixpoint.  All stages are combiner + bucketed
-hash-join/aggregate — no driver-side edge state.
+Ray mapping: per round, per-edge triangle support comes from the wedge
+kernel shared with ``triangle_count`` (:func:`raygraph.algos.triangles._wedges`:
+each triangle found once, at its lowest-ranked corner, crediting its three
+canonical edges), then edges below k−2 are dropped; repeat to fixpoint.
+The kernel ranks vertices locally, so no stage depends on V.  Two
+executors: graphs with ≤ ``local_edge_limit`` stored edges peel on the
+driver table (:func:`_k_truss_local`); larger ones run the kernel per
+``hash(apex)`` bucket between a degree aggregate, two joins and a
+support count (:func:`_support_ds`).
 """
 
 from __future__ import annotations
@@ -19,174 +23,88 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from raygraph import joins
 from raygraph.agg import hash_aggregate
-from raygraph.hashing import group_pairs, hash_int64
+from raygraph.algos.triangles import _wedges
 from raygraph.lineage import cut_stats_lineage
 
+_EDGES = pa.schema({"src": pa.int64(), "dst": pa.int64(),
+                    "weight": pa.float64()})
 
-def _canonical_edges(graph):
+
+def _canonical_edges(graph, local: bool):
     """Undirected stored-both-directions edges → one canonical (src<dst)
-    row per edge, min weight (matches the symmetrize dedup rule)."""
-    e = graph.edges_dataset(columns=["src", "dst", "weight"])
+    row per edge, min weight (matches the symmetrize dedup rule): a driver
+    ``pa.Table`` when ``local``, else a Dataset (one dedup shuffle)."""
+    from raygraph.graph import _combine, _driver_table, dedup_edges
+
+    e = graph.edges_dataset(columns=list(_EDGES.names))
 
     def canon(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy()
-        d = t.column("dst").to_numpy()
-        keep = s < d  # drops self-loops and the reversed copies
-        return pa.table(
-            {"src": s[keep], "dst": d[keep],
-             "weight": t.column("weight").to_numpy()[keep]}
-        )
+        # drops self-loops and the reversed copies
+        return t.filter(pc.less(t.column("src"), t.column("dst")))
+
+    if local:
+        return _combine(canon(_driver_table(e, _EDGES)), "min")
+    return dedup_edges(e.map_batches(canon, batch_format="pyarrow"), "min")
+
+
+def _support_ds(e, num_buckets: int):
+    """Per-canonical-edge triangle support of the materialized (src, dst,
+    weight) Dataset ``e`` (src < dst) → (src, dst, support), edges in no
+    triangle omitted.  Every apex's rows land in one bucket, so the kernel
+    sees each adjacency whole."""
+    from raygraph.graph import _key_bucket
+
+    both = e.map_batches(
+        lambda t: pa.concat_tables([
+            t.select(["src", "dst"]),
+            t.select(["dst", "src"]).rename_columns(["src", "dst"])]),
+        batch_format="pyarrow",
+    )
+    deg = hash_aggregate(both, ["src"], {"deg": (None, "count")},
+                         num_buckets=num_buckets)
+    rows = joins.hash_join(both, deg.rename_columns({"src": "dst"}),
+                           on="dst", num_buckets=num_buckets)
+
+    def bucket(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__b", pa.array(_key_bucket(t.column("src"), num_buckets)))
+
+    empty = pa.schema({"apex": pa.int64(), "src": pa.int64(),
+                       "dst": pa.int64()}).empty_table()
+    wedges = (
+        rows.map_batches(bucket, batch_format="pyarrow")
+        .groupby("__b")
+        .map_groups(lambda t: pa.concat_tables([empty, *_wedges(t)]),
+                    batch_format="pyarrow")
+    )
+    tri = joins.hash_join(wedges, e, on=["src", "dst"],
+                          num_buckets=num_buckets)
+
+    def credit(t: pa.Table) -> pa.Table:
+        # each triangle credits its three canonical (min,max) edges
+        u, a, b = (t.column(c).to_numpy() for c in ("apex", "src", "dst"))
+        return pa.table({
+            "src": np.concatenate([np.minimum(u, a), np.minimum(u, b), a]),
+            "dst": np.concatenate([np.maximum(u, a), np.maximum(u, b), b]),
+        })
 
     return hash_aggregate(
-        e.map_batches(canon, batch_format="pyarrow"),
-        ["src", "dst"], {"weight": ("weight", "min")},
+        tri.map_batches(credit, batch_format="pyarrow"), ["src", "dst"],
+        {"support": (None, "count")}, num_buckets=num_buckets,
     )
-
-
-def _edge_support(e, num_buckets: int = 16, wide: bool = False):
-    """Per-canonical-edge triangle support: degree-oriented wedge join.
-
-    ``e``: Dataset (src, dst[, weight]) with src < dst.  Returns Dataset
-    (src, dst, support).
-    """
-    deg = hash_aggregate(
-        e.map_batches(
-            lambda df: pd.DataFrame(
-                {"v": np.concatenate(
-                    [df["src"].to_numpy(np.int64), df["dst"].to_numpy(np.int64)]
-                )}
-            ),
-            batch_format="pandas",
-        ),
-        ["v"], {"deg": (None, "count")},
-    )
-    sdeg = deg.map_batches(
-        lambda df: pd.DataFrame(
-            {"src": df["v"].to_numpy(np.int64),
-             "sdeg": df["deg"].to_numpy(np.int64)}
-        ),
-        batch_format="pandas",
-    )
-    ddeg = deg.map_batches(
-        lambda df: pd.DataFrame(
-            {"dst": df["v"].to_numpy(np.int64),
-             "ddeg": df["deg"].to_numpy(np.int64)}
-        ),
-        batch_format="pandas",
-    )
-    e1 = joins.hash_join(
-        e.map_batches(lambda df: df[["src", "dst"]], batch_format="pandas"),
-        sdeg, on="src", num_buckets=num_buckets,
-    )
-    e2 = joins.hash_join(e1, ddeg, on="dst", num_buckets=num_buckets)
-
-    # orient low-degree → high-degree (ties by id); carry the head degree
-    def orient(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["src"].to_numpy(np.int64)
-        d = df["dst"].to_numpy(np.int64)
-        ds_ = df["sdeg"].to_numpy(np.int64)
-        dd = df["ddeg"].to_numpy(np.int64)
-        fwd = (ds_ < dd) | ((ds_ == dd) & (s < d))
-        return pd.DataFrame(
-            {
-                "src": np.where(fwd, s, d),
-                "dst": np.where(fwd, d, s),
-                "ddeg": np.where(fwd, dd, ds_),
-            }
-        )
-
-    oriented = e2.map_batches(orient, batch_format="pandas").materialize()
-    oriented2 = oriented.map_batches(
-        lambda t: t.select(["src", "dst"]), batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    WB = num_buckets
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = (hash_int64(t.column("src").to_numpy()) % np.uint64(WB)).astype(np.int32)
-        return t.append_column("wb", pa.array(b, pa.int32()))
-
-    def make_wedges(g: pd.DataFrame) -> pa.Table:
-        srcs = g["src"].to_numpy(np.int64)
-        dsts = g["dst"].to_numpy(np.int64)
-        degs = g["ddeg"].to_numpy(np.int64)
-        order = np.argsort(srcs, kind="stable")
-        srcs, dsts, degs = srcs[order], dsts[order], degs[order]
-        starts = np.flatnonzero(np.r_[True, srcs[1:] != srcs[:-1]])
-        ends = np.r_[starts[1:], len(srcs)]
-        oa, ob, ou = [], [], []
-        for s, epos in zip(starts, ends):
-            n = epos - s
-            if n < 2:
-                continue
-            nbrs = dsts[s:epos]
-            nbrd = degs[s:epos]
-            i, j = np.triu_indices(n, k=1)
-            a, b = nbrs[i], nbrs[j]
-            da, db = nbrd[i], nbrd[j]
-            swap = (db < da) | ((db == da) & (b < a))
-            oa.append(np.where(swap, b, a))
-            ob.append(np.where(swap, a, b))
-            ou.append(np.full(len(a), srcs[s]))
-        if not oa:
-            return pa.table(
-                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                 "apex": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {"src": np.concatenate(oa), "dst": np.concatenate(ob),
-             "apex": np.concatenate(ou)}
-        )
-
-    bucketed = oriented.map_batches(add_bucket, batch_format="pyarrow")
-    wedges = bucketed.groupby("wb").map_groups(make_wedges, batch_format="pandas")
-    triangles = joins.hash_join(
-        wedges, oriented2, on=["src", "dst"], num_buckets=num_buckets
-    )
-
-    def edge_partials(df: pd.DataFrame) -> pa.Table:
-        if not len(df):
-            return pa.table(
-                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        a = df["apex"].to_numpy(np.int64)
-        b = df["src"].to_numpy(np.int64)
-        c = df["dst"].to_numpy(np.int64)
-        # each triangle credits its three canonical (min,max) edges
-        e1s, e1d = np.minimum(a, b), np.maximum(a, b)
-        e2s, e2d = np.minimum(a, c), np.maximum(a, c)
-        e3s, e3d = np.minimum(b, c), np.maximum(b, c)
-        s = np.concatenate([e1s, e2s, e3s])
-        d = np.concatenate([e1d, e2d, e3d])
-        # packed (src<<32|dst) key below 2^32 vertices, two-pass lexsort
-        # above (hashing.group_pairs)
-        us, ud, cnt = group_pairs(s, d, wide=wide)
-        return pa.table(
-            {"src": us.astype(np.int64),
-             "dst": ud.astype(np.int64),
-             "n": cnt.astype(np.int64)}
-        )
-
-    partial = triangles.map_batches(edge_partials, batch_format="pandas")
-    return hash_aggregate(partial, ["src", "dst"], {"support": ("n", "sum")})
 
 
 def _k_truss_local(src, dst, w, k: int, max_rounds: int):
     """All-numpy peel over canonical (src<dst) edge arrays — bit-equal to
     the Dataset rounds (the k-truss is the UNIQUE maximal subgraph, so
     any correct peel converges to the same edge set).  Per round: rank
-    vertices by (degree, id), orient edges low→high rank, enumerate
-    wedges per apex from the rank-sorted adjacency (vectorized
-    ragged-triu in bounded chunks), close them against the sorted packed
-    oriented-edge key set, credit all three edges per triangle, drop
-    edges below k−2."""
-    from raygraph.algos.similarity import _ragged_triu_chunks
-
+    the vertices locally, run :func:`_wedges` once, close each wedge
+    against the sorted packed canonical key, credit the three edge ids
+    of each triangle, drop edges below k−2."""
     for _ in range(max_rounds):
         E = len(src)
         if E == 0:
@@ -196,32 +114,26 @@ def _k_truss_local(src, dst, w, k: int, max_rounds: int):
         si = np.searchsorted(verts, src)
         di = np.searchsorted(verts, dst)
         deg = np.bincount(si, minlength=nv) + np.bincount(di, minlength=nv)
-        order = np.lexsort((verts, deg))  # total order: (deg, id)
-        r = np.empty(nv, np.int64)
-        r[order] = np.arange(nv)
-        fwd = r[si] < r[di]
-        ou = np.where(fwd, si, di)
-        ov = np.where(fwd, di, si)
-        eid = np.arange(E, dtype=np.int64)
-        o2 = np.lexsort((r[ov], ou))  # apex-major, heads ascending by rank
-        av, ae = ov[o2], eid[o2]
-        au = ou[o2]
-        starts = np.flatnonzero(np.r_[True, au[1:] != au[:-1]])
-        sizes = np.diff(np.r_[starts, len(au)])
-        key = ou * nv + ov
-        ksort = np.argsort(key)
-        ksorted, k_eid = key[ksort], eid[ksort]
+        ksort = np.argsort(si * nv + di)
+        ksorted = (si * nv + di)[ksort]
+
+        def eid(x, y):
+            return ksort[np.searchsorted(ksorted, x * nv + y)]
+
         support = np.zeros(E, np.int64)
-        for row_idx, off in _ragged_triu_chunks(sizes, 1 << 22):
-            i1 = row_idx
-            i2 = row_idx + off + 1
-            wkey = av[i1] * nv + av[i2]  # rank order ⇒ stored orientation
-            pos = np.searchsorted(ksorted, wkey)
-            posc = np.minimum(pos, len(ksorted) - 1)
-            hit = ksorted[posc] == wkey
-            cred = np.concatenate(
-                [ae[i1[hit]], ae[i2[hit]], k_eid[posc[hit]]]
-            )
+        heads = np.concatenate([di, si])
+        for t in _wedges(pa.table({"src": np.concatenate([si, di]),
+                                   "dst": heads, "deg": deg[heads]})):
+            u, a, b = (t.column(c).to_numpy() for c in ("apex", "src", "dst"))
+            wkey = a * nv + b
+            pos = np.minimum(np.searchsorted(ksorted, wkey), E - 1)
+            hit = ksorted[pos] == wkey
+            u, a, b = u[hit], a[hit], b[hit]
+            cred = np.concatenate([
+                ksort[pos[hit]],
+                eid(np.minimum(u, a), np.maximum(u, a)),
+                eid(np.minimum(u, b), np.maximum(u, b)),
+            ])
             support += np.bincount(cred, minlength=E)
         keep = support >= k - 2
         if keep.all():
@@ -233,46 +145,28 @@ def _k_truss_local(src, dst, w, k: int, max_rounds: int):
 
 
 def k_truss(graph, k: int, max_rounds: int = 100,
-            wide_keys: "bool | None" = None,
-            local_edge_limit: int = 5_000_000):
+            local_edge_limit: int = 10_000_000):
     """K-truss subgraph edges — Dataset (src, dst, weight), canonical
     src < dst, every edge in ≥ k−2 triangles of the result.
 
-    ``wide_keys``: support counting keys edges as packed (src<<32|dst)
-    int64s below 2^32 vertices, and by two-pass lexsort above (auto;
-    forceable for tests).  Canonical edge sets ≤ ``local_edge_limit``
-    peel in one numpy pass on the driver (identical result — the
-    k-truss is unique); the Dataset rounds are the scale path."""
+    Graphs with ≤ ``local_edge_limit`` stored edges (both directions)
+    peel in numpy on the driver table (identical result — the k-truss is
+    unique); the Dataset rounds are the scale path (pass 0 to force
+    them)."""
+    import ray.data as rd
+
     if graph.directed:
         raise ValueError("k_truss requires an undirected graph")
-    wide = (graph.num_vertices >= 2 ** 32) if wide_keys is None else bool(wide_keys)
-    e = cut_stats_lineage(_canonical_edges(graph).materialize())
-    n = e.count()
-    if n <= local_edge_limit:
-        import ray.data as rd
-
-        df = e.to_pandas() if n else pd.DataFrame(
-            {"src": pd.Series(dtype=np.int64),
-             "dst": pd.Series(dtype=np.int64),
-             "weight": pd.Series(dtype=np.float64)}
-        )
+    if graph.num_edges <= local_edge_limit:
+        t = _canonical_edges(graph, local=True)
         src, dst, w = _k_truss_local(
-            df["src"].to_numpy(np.int64) if n else np.empty(0, np.int64),
-            df["dst"].to_numpy(np.int64) if n else np.empty(0, np.int64),
-            df["weight"].to_numpy(np.float64) if n else np.empty(0),
-            k, max_rounds,
-        )
-        return rd.from_pandas(
-            pd.DataFrame(
-                {"src": src, "dst": dst, "weight": w}
-            ) if len(src) else pd.DataFrame(
-                {"src": pd.Series(dtype=np.int64),
-                 "dst": pd.Series(dtype=np.int64),
-                 "weight": pd.Series(dtype=np.float64)}
-            )
-        )
+            *(t.column(c).to_numpy() for c in _EDGES.names), k, max_rounds)
+        return rd.from_pandas(pd.DataFrame({"src": src, "dst": dst,
+                                            "weight": w}))
+    e = cut_stats_lineage(_canonical_edges(graph, local=False).materialize())
+    n = e.count()
     for _ in range(max_rounds):
-        if n == 0:
+        if n == 0 or k <= 2:
             break
         # bucket/block counts follow the shrinking edge set — without this
         # each round's bucketed joins shatter a tiny edge list into dozens
@@ -282,34 +176,18 @@ def k_truss(graph, k: int, max_rounds: int = 100,
         # without it Ray's unmemoized to_summary walk over the join/union
         # diamonds compounds exponentially across peel rounds (driver hang)
         support = cut_stats_lineage(
-            _edge_support(e, num_buckets=nb, wide=wide).materialize()
+            _support_ds(e, nb)
+            .filter(expr=f"support >= {k - 2}")
+            .materialize()
         )
         if support.count() == 0:
-            # no triangles left anywhere
-            if k <= 2:
-                break  # every remaining edge trivially qualifies
-            import ray.data as rd
-
-            e = rd.from_pandas(
-                pd.DataFrame(
-                    {"src": pd.Series(dtype=np.int64),
-                     "dst": pd.Series(dtype=np.int64),
-                     "weight": pd.Series(dtype=np.float64)}
-                )
-            )
-            n = 0
+            n = 0  # no edge keeps enough triangles
             break
-        joined = joins.hash_join(
-            e, support, on=["src", "dst"], how="left", num_buckets=nb
-        )
-
-        def keep(df: pd.DataFrame, k=k) -> pd.DataFrame:
-            sup = df["support"].fillna(0).to_numpy()
-            return df.loc[sup >= k - 2, ["src", "dst", "weight"]]
-
         nblocks = int(min(32, max(1, n // 500_000 + 1)))
         e = cut_stats_lineage(
-            joined.map_batches(keep, batch_format="pandas")
+            joins.hash_join(e, support, on=["src", "dst"], num_buckets=nb)
+            .map_batches(lambda t: t.select(list(_EDGES.names)),
+                         batch_format="pyarrow")
             .repartition(nblocks)
             .materialize()
         )
@@ -319,16 +197,6 @@ def k_truss(graph, k: int, max_rounds: int = 100,
         n = n_new
     else:
         raise RuntimeError(f"k_truss did not settle in {max_rounds} rounds")
-    if n == 0:
-        # peeled to empty: Ray drops all-empty pandas blocks in to_pandas,
-        # losing the schema — hand back a typed empty dataset instead
-        import ray.data as rd
-
-        return rd.from_pandas(
-            pd.DataFrame(
-                {"src": pd.Series(dtype=np.int64),
-                 "dst": pd.Series(dtype=np.int64),
-                 "weight": pd.Series(dtype=np.float64)}
-            )
-        )
-    return e
+    # peeled to empty: Ray drops the schema of all-empty results — hand
+    # back a typed empty dataset instead
+    return e if n else rd.from_arrow(_EDGES.empty_table())

@@ -583,7 +583,7 @@ def test_single_worker_engine_fetch_paths(tmp_path):
     for r in got.to_pandas().itertuples():
         assert abs(r.betweenness_centrality - want[(r.src, r.dst)] / 2.0) < 1e-9
 
-    tri = triangle_count(g, method="intersect", num_workers=1).to_pandas()
+    tri = triangle_count(g, num_workers=1).to_pandas()
     assert tri[tri.columns[-1]].sum() == 3 * 45  # per-vertex counts, 45 tris
 
     # directed fixture for the SCC fetch path

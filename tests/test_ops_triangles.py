@@ -115,22 +115,6 @@ def test_triangles_karate(karate_und):
     assert got.sum() == 3 * 45  # karate has 45 triangles
 
 
-def test_triangles_degree_join_path(karate_und):
-    # forced join orientation (broadcast_limit=0, method pinned to the
-    # wedge pipeline — auto picks the driver-local path for small graphs)
-    # must match the broadcast path exactly — the scale path for V past
-    # the broadcast limit
-    got = (
-        triangle_count(karate_und, broadcast_limit=0, method="wedge")
-        .to_pandas()
-        .sort_values("vertex")["counts"]
-        .to_numpy()
-    )
-    src, dst, _ = fixtures.karate_sym_arrays()
-    want = oracles.ref_triangles((src, dst), fixtures.KARATE_V)
-    assert np.array_equal(got, want)
-
-
 def test_triangles_two_components(tmp_path):
     df = fixtures.two_components_df()
     g = Graph.from_edges(
@@ -150,6 +134,39 @@ def test_triangles_two_components(tmp_path):
 def test_triangles_rejects_directed(karate_dir):
     with pytest.raises(ValueError):
         triangle_count(karate_dir)
+
+
+@pytest.fixture(scope="module", params=["karate", "two_components", "rmat10"])
+def tri_case(request, tmp_path_factory):
+    """(graph, oracle counts) for each triangle executor-equivalence input."""
+    from raygraph.generators import rmat_dataset
+
+    edges = {
+        "karate": lambda: rd.from_pandas(fixtures.karate_df()),
+        "two_components": lambda: rd.from_pandas(fixtures.two_components_df()),
+        "rmat10": lambda: rmat_dataset(scale=10, edgefactor=8, seed=7),
+    }[request.param]()
+    g = Graph.from_edges(
+        edges, src="src", dst="dst", weight="weight",
+        directed=False, renumber=request.param == "rmat10", num_partitions=4,
+        out_dir=str(tmp_path_factory.mktemp(request.param) / "g"),
+    )
+    e = g.edges_dataset().to_pandas()
+    return g, oracles.ref_triangles(
+        (e["src"].to_numpy(), e["dst"].to_numpy()), g.num_vertices)
+
+
+@pytest.mark.parametrize("num_workers", [None, 1, 3],
+                         ids=["driver", "engine1", "engine3"])
+def test_triangle_executor_equivalence(tri_case, num_workers):
+    """The driver wedge kernel and the engine's intersection kernel (at
+    1 and 3 workers) each give exactly the oracle's per-vertex counts."""
+    g, want = tri_case
+    got = (triangle_count(g, num_workers=num_workers).to_pandas()
+           .sort_values("vertex"))
+    assert got["vertex"].tolist() == list(range(g.num_vertices))
+    assert np.array_equal(got["counts"].to_numpy(), want)
+    assert want.sum() > 0
 
 
 def test_hypergraph_bipartite():
@@ -356,33 +373,6 @@ def test_weighted_pair_similarity_matches_bruteforce():
         assert abs(r.coeff - (inter / union if union else 0.0)) < 1e-12
 
 
-def test_triangle_intersect_matches_wedge(karate_und):
-    """Forced intersection path == wedge path == brute-force oracle."""
-    a = (triangle_count(karate_und, method="wedge").to_pandas()
-         .sort_values("vertex").reset_index(drop=True))
-    b = (triangle_count(karate_und, method="intersect").to_pandas()
-         .sort_values("vertex").reset_index(drop=True))
-    assert a.equals(b)
-
-
-def test_triangle_intersect_rmat(tmp_path):
-    """Intersection path on a skewed RMAT graph vs the wedge path."""
-    from raygraph.generators import rmat_dataset
-
-    e = rmat_dataset(scale=10, edgefactor=8, seed=7)
-    g = Graph.from_edges(
-        e, src="src", dst="dst", weight="weight",
-        directed=False, renumber=True, num_partitions=4,
-        out_dir=str(tmp_path / "grmat"),
-    )
-    a = (triangle_count(g, method="wedge").to_pandas()
-         .sort_values("vertex").reset_index(drop=True))
-    b = (triangle_count(g, method="intersect").to_pandas()
-         .sort_values("vertex").reset_index(drop=True))
-    assert a.equals(b)
-    assert a["counts"].sum() > 0
-
-
 def test_k_truss_peel_to_empty_keeps_schema(ray_session):
     # a 4-cycle has no triangles at all, and a lone triangle peels to
     # empty through the support-filter loop — both must come back as an
@@ -528,24 +518,47 @@ def test_pairwise_similarity_no_wedge_keeps_schema(local_edge_limit,
         pa.float64()]
 
 
-def test_k_truss_local_matches_dataset_path(tmp_path):
-    """Forced Dataset peel (local_edge_limit=0) equals the numpy local
-    peel — the k-truss is the unique maximal subgraph."""
+def _peel_df():
+    """30 vertices: 110 random edges, among them self-loops and parallel
+    edges of different weights, plus a hub (vertex 0 → every odd vertex)."""
+    rng = np.random.RandomState(0)
+    src = np.r_[rng.randint(0, 30, 110), np.zeros(15, np.int64)]
+    dst = np.r_[rng.randint(0, 30, 110), np.arange(1, 30, 2)]
+    return pd.DataFrame({"src": src, "dst": dst,
+                         "weight": rng.randint(1, 100, len(src)) / 4.0})
+
+
+@pytest.mark.parametrize("name,ks", [("karate", (3, 4, 5)), ("peel", (4,))],
+                         ids=["karate", "peel"])
+def test_k_truss_local_matches_dataset_path(tmp_path, name, ks):
+    """Forced Dataset peel (local_edge_limit=0) and the driver peel both
+    equal the brute-force peel's edges at their min input weight, dtypes
+    included."""
     from raygraph.algos.truss import k_truss
     from raygraph.graph import Graph
 
+    df = fixtures.karate_df() if name == "karate" else _peel_df()
+    canon = df.assign(src=np.minimum(df["src"], df["dst"]),
+                      dst=np.maximum(df["src"], df["dst"]))
+    wmin = canon.groupby(["src", "dst"])["weight"].min()
     g = Graph.from_edges(
-        rd.from_pandas(fixtures.karate_df()),
-        src="src", dst="dst", weight="weight",
+        rd.from_pandas(df), src="src", dst="dst", weight="weight",
         directed=False, renumber=False, num_partitions=4,
         out_dir=str(tmp_path / "ktl"),
     )
-    for k in (3, 4, 5):
-        a = (k_truss(g, k).to_pandas()
-             .sort_values(["src", "dst"]).reset_index(drop=True))
-        b = (k_truss(g, k, local_edge_limit=0).to_pandas()
-             .sort_values(["src", "dst"]).reset_index(drop=True))
-        pd.testing.assert_frame_equal(a, b)
+    if name == "peel":
+        assert (df["src"] == df["dst"]).any()
+        assert (canon.groupby(["src", "dst"])["weight"].nunique() > 1).any()
+        with pytest.raises(RuntimeError):  # ≥ 3 rounds drop edges
+            k_truss(g, 4, max_rounds=3)
+    for k in ks:
+        want = wmin.loc[sorted(_brute_ktruss(
+            map(tuple, df[["src", "dst"]].to_numpy()), k))].reset_index()
+        assert len(want) > 0
+        for kw in ({}, {"local_edge_limit": 0}):
+            got = (k_truss(g, k, **kw).to_pandas()
+                   .sort_values(["src", "dst"]).reset_index(drop=True))
+            pd.testing.assert_frame_equal(got, want)
 
 
 def test_two_hop_local_matches_join(tmp_path):
@@ -565,17 +578,3 @@ def test_two_hop_local_matches_join(tmp_path):
         ["first", "second"]).reset_index(drop=True)
     assert loc.equals(dist)
     assert (loc["first"] != loc["second"]).all()
-
-
-def test_triangles_local_matches_wedge(karate_und):
-    """auto picks the driver-local path for small graphs; it must match
-    the wedge pipeline (and the numpy oracle) exactly."""
-    loc = (
-        triangle_count(karate_und, method="local")
-        .to_pandas().sort_values("vertex")["counts"].to_numpy()
-    )
-    wedge = (
-        triangle_count(karate_und, method="wedge")
-        .to_pandas().sort_values("vertex")["counts"].to_numpy()
-    )
-    assert np.array_equal(loc, wedge)

@@ -1,13 +1,12 @@
 """V >= 2^32 wide-id kernels: forced-path equality on small graphs.
 
 Several superstep kernels pack two ids into one int64 composite key
-(BFS dist|pred, LPA dst|label, SCC color|flags, triangle slice*V+vid,
-k-truss src|dst) — valid only below 2^32 vertices.  Each has a wide
-variant (dynamic bit widths / two-pass lexsort / rank compression) that
-engages automatically past 2^32; since a 2^32-vertex graph can't exist
-in a test, these tests FORCE the wide paths ($RAYGRAPH_WIDE_KEYS /
-wide_keys=True) and assert bit-identical results against the packed
-defaults.
+(BFS dist|pred, LPA dst|label, SCC color|flags, triangle slice*V+vid)
+— valid only below 2^32 vertices.  Each has a wide variant (dynamic bit
+widths / two-pass lexsort / rank compression) that engages automatically
+past 2^32; since a 2^32-vertex graph can't exist in a test, these tests
+FORCE the wide paths ($RAYGRAPH_WIDE_KEYS) and assert bit-identical
+results against the packed defaults.
 """
 
 import numpy as np
@@ -76,7 +75,7 @@ def test_wide_keys_bfs_lpa_triangles_match_packed(tmp_path, monkeypatch):
     bfs_p = bfs(g, 0, num_workers=4).to_pandas().sort_values("vertex")
     lpa_p = label_propagation(g, max_iter=15, num_workers=4).to_pandas().sort_values("vertex")
     tri_p = (
-        triangle_count(g, method="intersect", num_workers=4)
+        triangle_count(g, num_workers=4)
         .to_pandas().sort_values("vertex")
     )
 
@@ -84,7 +83,7 @@ def test_wide_keys_bfs_lpa_triangles_match_packed(tmp_path, monkeypatch):
     bfs_w = bfs(g, 0, num_workers=4).to_pandas().sort_values("vertex")
     lpa_w = label_propagation(g, max_iter=15, num_workers=4).to_pandas().sort_values("vertex")
     tri_w = (
-        triangle_count(g, method="intersect", num_workers=4)
+        triangle_count(g, num_workers=4)
         .to_pandas().sort_values("vertex")
     )
 
@@ -116,18 +115,3 @@ def test_wide_keys_scc_matches_packed(tmp_path, monkeypatch):
         .to_pandas().sort_values("vertex")["labels"].to_numpy()
     )
     assert np.array_equal(scc_p, scc_w)
-
-
-def test_wide_keys_ktruss_matches_packed(tmp_path):
-    from raygraph.algos.truss import k_truss
-
-    g = build(fixtures.karate_df(), False, tmp_path, "ktw")
-    packed = (
-        k_truss(g, 5, wide_keys=False).to_pandas()
-        .sort_values(["src", "dst"]).reset_index(drop=True)
-    )
-    wide = (
-        k_truss(g, 5, wide_keys=True).to_pandas()
-        .sort_values(["src", "dst"]).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(packed, wide)
