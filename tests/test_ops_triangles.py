@@ -4,11 +4,12 @@ import itertools
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
 from raygraph import hypergraph, ops
-from raygraph.algos.triangles import triangle_count
+from raygraph.algos.triangles import _wedges, triangle_count
 from raygraph.graph import Graph
 
 from tests import fixtures, oracles
@@ -167,6 +168,53 @@ def test_triangle_executor_equivalence(tri_case, num_workers):
     assert got["vertex"].tolist() == list(range(g.num_vertices))
     assert np.array_equal(got["counts"].to_numpy(), want)
     assert want.sum() > 0
+
+
+def _karate_wedge_rows():
+    src, dst, _ = fixtures.karate_sym_arrays()
+    src, dst = src.astype(np.int64), dst.astype(np.int64)
+    deg = np.bincount(src, minlength=fixtures.KARATE_V)
+    return src, dst, deg, pa.table({"src": src, "dst": dst, "deg": deg[dst]})
+
+
+def test_triangles_degree_join_path():
+    """The (degree, id) orientation of the wedge kernel, in chunks far
+    smaller than one apex's pairs: every triangle is closed exactly once,
+    at its lowest-ranked corner, and wedges pair only higher-ranked
+    neighbors."""
+    src, dst, deg, rows = _karate_wedge_rows()
+    edges = set(zip(src.tolist(), dst.tolist()))
+    rank = {v: (deg[v], v) for v in range(fixtures.KARATE_V)}
+    closed = []
+    for w in _wedges(rows, chunk=5):
+        assert w.num_rows <= 5
+        for x, a, b in zip(*(w.column(c).to_pylist()
+                             for c in ("apex", "src", "dst"))):
+            assert a < b and rank[x] < rank[a] and rank[x] < rank[b]
+            if (a, b) in edges:
+                closed.append((x, a, b))
+    tris = {tuple(sorted(t)) for t in closed}
+    assert len(tris) == len(closed)
+    want = oracles.ref_triangles((src, dst), fixtures.KARATE_V)
+    assert 3 * len(tris) == want.sum()
+
+
+def test_triangles_local_matches_wedge(karate_und):
+    """The driver executor equals per-vertex counts from closing the wedge
+    kernel's output directly against the edge set (and the oracle)."""
+    src, dst, _, rows = _karate_wedge_rows()
+    edges = set(zip(src.tolist(), dst.tolist()))
+    wedge = np.zeros(fixtures.KARATE_V, np.int64)
+    for w in _wedges(rows):
+        for t in zip(*(w.column(c).to_pylist()
+                       for c in ("apex", "src", "dst"))):
+            if t[1:] in edges:
+                wedge[list(t)] += 1
+    loc = (triangle_count(karate_und).to_pandas()
+           .sort_values("vertex")["counts"].to_numpy())
+    assert np.array_equal(loc, wedge)
+    assert np.array_equal(
+        loc, oracles.ref_triangles((src, dst), fixtures.KARATE_V))
 
 
 def test_hypergraph_bipartite():
