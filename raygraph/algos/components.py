@@ -187,7 +187,7 @@ def strongly_connected_components(
     Graphs under ``local_edge_limit`` edges (and ≤2M vertices) run an
     iterative Tarjan on the driver — identical canonical labels (the
     label is a function of the partition, not the algorithm), no engine
-    spin-up.  Pass 0 to force the distributed path.
+    spin-up.  Pass 0, or ``num_workers=``, to force the distributed path.
     """
     if not graph.directed:
         raise ValueError(
@@ -198,7 +198,8 @@ def strongly_connected_components(
     # Tarjan is a different algorithm from the engine's forward-backward
     # coloring (one DFS instead of trim/color/mark fixpoints), so it stays
     # a driver-side replica rather than an in-driver engine run
-    if graph.num_edges <= local_edge_limit and V <= 2_000_000:
+    if (num_workers is None and graph.num_edges <= local_edge_limit
+            and V <= 2_000_000):
         import ray.data as rd
 
         df = graph.edges_dataset(columns=["src", "dst"]).to_pandas()

@@ -224,7 +224,8 @@ def _spectral_clustering(graph, num_clusters, num_eigen_vects, mode,
         raise ValueError("num_eigen_vects must be <= num_clusters")
     if graph.directed:
         raise ValueError("spectral clustering requires an undirected graph")
-    if graph.num_edges <= local_edge_limit and graph.num_vertices <= 2_000_000:
+    if (num_workers is None and graph.num_edges <= local_edge_limit
+            and graph.num_vertices <= 2_000_000):
         return _spectral_local(graph, num_clusters, num_eigen_vects, mode,
                                evs_tolerance, evs_max_iter, kmean_max_iter,
                                out_dir)
@@ -251,7 +252,7 @@ def spectral_balanced_cut_clustering(
     smallest eigenvectors of the normalized Laplacian
     (``spectral_clustering.py:20-101``).  Graphs under
     ``local_edge_limit`` edges run the identical math driver-local
-    (pass 0 to force the distributed engine)."""
+    (pass 0, or ``num_workers=``, to force the distributed engine)."""
     return _spectral_clustering(
         graph, num_clusters, num_eigen_vects, "laplacian",
         evs_tolerance, evs_max_iter, kmean_tolerance, kmean_max_iter,
@@ -269,7 +270,7 @@ def spectral_modularity_maximization_clustering(
     """Dataset (vertex, cluster) — k-means over the top eigenvectors of
     the modularity matrix (``spectral_clustering.py:103-185``).  Graphs
     under ``local_edge_limit`` edges run the identical math driver-local
-    (pass 0 to force the distributed engine)."""
+    (pass 0, or ``num_workers=``, to force the distributed engine)."""
     return _spectral_clustering(
         graph, num_clusters, num_eigen_vects, "modularity",
         evs_tolerance, evs_max_iter, kmean_tolerance, kmean_max_iter,

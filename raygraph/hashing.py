@@ -67,39 +67,41 @@ def group_pairs(a: np.ndarray, b: np.ndarray, weights=None, wide: bool = False):
     """Unique (a, b) pairs in lexicographic order with per-pair aggregates.
 
     Returns ``(ua, ub, agg)`` — ``agg`` is the pair count (int64) when
-    ``weights is None``, else the per-pair weight sum (float64).
+    ``weights is None``, else the per-pair weight sum (float64).  LPA's
+    (dst, label) combine on the sender and its (vertex, label) combine on
+    the receiver are the callers.
 
-    Two interchangeable implementations with identical output ORDER
-    (lexicographic by (a, b)):
+    One sort, then one boundary mask over the sorted pairs.  The sort key
+    is the packed composite ``a << 32 | b`` (valid while ``0 <= a < 2^31``
+    and ``0 <= b < 2^32``), or, with ``wide=True`` (ids past 2^32), a
+    two-key ``np.lexsort``.  Input made of a few ascending runs (a
+    receiver's concatenated per-sender messages) is merged by the stable
+    sort; any other input takes the default quicksort.
 
-    - packed (default): composite key ``a << 32 | b`` + one ``np.unique``
-      — fastest, valid only while ``0 <= a < 2^31`` and ``0 <= b < 2^32``;
-    - ``wide=True``: the two-pass lexsort variant for ids past 2^32 —
-      ``np.lexsort`` by (a, b) then segment-boundary reduction.  This is
-      the V >= 2^32 path for LPA's (dst, label) combine and k-truss's
-      canonical-edge support counting.
+    The weight sums accumulate in INPUT order (``np.bincount`` over the
+    group id of each input position), whatever the sort, so both widths
+    and both sorts give bit-identical float sums.  ``np.add.reduceat``
+    over the sorted weights would not: it is not a sequential sum.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if not wide:
-        key = (a << np.int64(32)) | b
-        uk, inv = np.unique(key, return_inverse=True)
-        if weights is None:
-            agg = np.bincount(inv, minlength=len(uk)).astype(np.int64)
-        else:
-            agg = np.bincount(inv, weights=weights, minlength=len(uk))
-        return (uk >> np.int64(32)), (uk & np.int64(0xFFFFFFFF)), agg
-    order = np.lexsort((b, a))
-    a_s, b_s = a[order], b[order]
-    new = np.ones(len(a_s), dtype=bool)
-    if len(a_s) > 1:
-        new[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-    gid = np.cumsum(new) - 1
-    if weights is None:
-        agg = np.bincount(gid, minlength=int(gid[-1]) + 1 if len(gid) else 0).astype(np.int64)
+    if wide:
+        order = np.lexsort((b, a))
+        a_s, b_s = a[order], b[order]
     else:
-        w = np.asarray(weights)[order]
-        agg = np.bincount(gid, weights=w, minlength=int(gid[-1]) + 1 if len(gid) else 0)
+        key = (a << np.int64(32)) | b
+        # timsort merges r ascending runs in O(n log r); on 909k keys it
+        # beat quicksort up to about 8 runs (6.6 vs 16.7 ms at 2)
+        runs = 1 + np.count_nonzero(key[1:] < key[:-1])
+        order = np.argsort(key, kind="stable" if runs <= 8 else "quicksort")
+        key = key[order]
+        a_s, b_s = key >> np.int64(32), key & np.int64(0xFFFFFFFF)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
+    gid = np.cumsum(new) - 1
+    inv = np.empty_like(gid)
+    inv[order] = gid
+    agg = np.bincount(inv, weights=weights, minlength=int(new.sum()))
     return a_s[new], b_s[new], agg
 
 

@@ -210,10 +210,10 @@ class PartitionWorker:
         self.mirror_route = [np.flatnonzero(mo == q) for q in range(self.W)]
         self._mirror_vals: dict[str, np.ndarray] = {}
         # dst message routing, precomputed once: unique dsts, inverse index,
-        # and per-destination-worker slices
+        # owning worker of each unique dst, and per-destination-worker slices
         self.dst_unique, self.dst_inverse = np.unique(self.dst, return_inverse=True)
-        ow = self.part2worker[part_of_vertex(self.dst_unique, self.P)]
-        self.route = [np.flatnonzero(ow == q) for q in range(self.W)]
+        self.dst_owner = self.part2worker[part_of_vertex(self.dst_unique, self.P)]
+        self.route = [np.flatnonzero(self.dst_owner == q) for q in range(self.W)]
         # packed-message layout: one concatenated array + offsets instead of
         # W separate arrays per round (fewer plasma deserializes per receive)
         self.route_order = (
@@ -1138,7 +1138,7 @@ class PartitionWorker:
             di_f = di_s[first]
             nd_f = nd[order][first]
             pr_f = self.src[emask][order][first]
-            ow = self.part2worker[part_of_vertex(self.dst_unique[di_f], self.P)]
+            ow = self.dst_owner[di_f]
             for q in range(self.W):
                 sel = np.flatnonzero(ow == q)
                 m = (self.dst_unique[di_f[sel]], nd_f[sel], pr_f[sel])
@@ -1185,12 +1185,12 @@ class PartitionWorker:
     def lpa_scatter(self):
         labels = self._src_vec("labels")
         lab_e = labels[self.src_local]
-        # combine per (dst, label): packed composite key below 2^32
-        # labels, two-pass lexsort (hashing.group_pairs wide) above
+        # combine per (dst, label), rows sorted by (dst, label): each
+        # receiver gets one ascending run from this sender
         di, lab, wsum = group_pairs(
             self.dst_inverse, lab_e, weights=self.w, wide=self.wide
         )
-        ow = self.part2worker[part_of_vertex(self.dst_unique[di], self.P)]
+        ow = self.dst_owner[di]
         out = []
         rows_out = bytes_out = 0
         for q in range(self.W):
@@ -1212,18 +1212,18 @@ class PartitionWorker:
         if rows_in:
             idx = np.searchsorted(self.owned, vids)
             vi, lab, wsum = group_pairs(idx, labs, weights=ws, wide=self.wide)
-            # per vertex: argmax weight, ties -> min label. group_pairs
-            # returns (vi, lab) lexicographically sorted, so within a
-            # vertex labels ascend; lexsort by (vi, -wsum) stable keeps
-            # min label first among equal weights.
-            order = np.lexsort((lab, -wsum, vi))
-            vi_s, lab_s = vi[order], lab[order]
-            first = np.ones(len(vi_s), dtype=bool)
-            first[1:] = vi_s[1:] != vi_s[:-1]
-            winner_v = vi_s[first]
-            winner_l = lab_s[first]
+            # per vertex: argmax weight, ties -> min label.  Groups come
+            # sorted by (vi, lab), so the first group of a vertex whose sum
+            # equals the vertex max carries the min label among the ties.
+            # NaN sums lose to any number; an all-NaN vertex ties them all.
+            first = np.ones(len(vi), dtype=bool)
+            first[1:] = vi[1:] != vi[:-1]
+            vmax = np.fmax.reduceat(wsum, np.flatnonzero(first))
+            gmax = vmax[np.cumsum(first) - 1]
+            cand = np.flatnonzero((wsum == gmax) | np.isnan(gmax))
+            win = cand[np.flatnonzero(np.diff(vi[cand], prepend=-1))]
             new = labels.copy()
-            new[winner_v] = winner_l
+            new[vi[win]] = lab[win]
         else:
             new = labels
         changed = int((new != labels).sum())

@@ -467,7 +467,7 @@ def test_split_graph_guards_unsupported_algos(tmp_path):
     # but the local gate handles it (vids are unchanged by splitting —
     # only physical partition placement differs), so small split graphs
     # now get correct labels: a star DAG is all singleton SCCs
-    res = strongly_connected_components(g, num_workers=2).to_pandas()
+    res = strongly_connected_components(g).to_pandas()
     assert len(res) == 301
     assert res["labels"].nunique() == 301
 
@@ -750,6 +750,36 @@ def test_exchange_mode_auto_selection(tmp_path, monkeypatch):
     finally:
         eng3._keep_alive = False
         eng3.shutdown()
+
+
+@pytest.mark.parametrize("algo", ["scc", "spectral"])
+def test_num_workers_pins_engine_on_small_graph(algo, tmp_path, monkeypatch):
+    """``num_workers=`` pins the actor engine under the small-graph gate,
+    as it does for every gated algorithm; without it the driver replica
+    runs and no engine is built."""
+    from raygraph.algos import strongly_connected_components
+    from raygraph.algos.spectral import spectral_balanced_cut_clustering
+    from raygraph.superstep import SuperstepEngine
+
+    g = build(fixtures.karate_df(), algo == "scc", tmp_path, "g")
+    run = {
+        "scc": lambda **kw: strongly_connected_components(g, **kw),
+        "spectral": lambda **kw: spectral_balanced_cut_clustering(
+            g, 2, 2, **kw),
+    }[algo]
+    engines = []
+    init = SuperstepEngine.__init__
+
+    def spy(self, *a, **kw):
+        init(self, *a, **kw)
+        engines.append((self.executor, all(
+            isinstance(w, ray.actor.ActorHandle) for w in self.workers)))
+
+    monkeypatch.setattr(SuperstepEngine, "__init__", spy)
+    assert len(run().to_pandas()) == g.num_vertices
+    assert engines == []
+    assert len(run(num_workers=2).to_pandas()) == g.num_vertices
+    assert engines == [("actors", True)]
 
 
 def test_scc_local_matches_engine(tmp_path):

@@ -43,7 +43,8 @@ def test_group_pairs_wide_matches_packed():
         wa_, wb_, wc_ = group_pairs(a, b, weights=weights, wide=True)
         assert np.array_equal(pa_, wa_)
         assert np.array_equal(pb_, wb_)
-        assert np.allclose(pc_, wc_)
+        # both widths sum each pair's weights in input order
+        assert pc_.dtype == wc_.dtype and np.array_equal(pc_, wc_)
 
 
 def test_group_pairs_wide_past_32_bits():
