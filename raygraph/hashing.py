@@ -90,8 +90,9 @@ def group_pairs(a: np.ndarray, b: np.ndarray, weights=None, wide: bool = False):
         a_s, b_s = a[order], b[order]
     else:
         key = (a << np.int64(32)) | b
-        # timsort merges r ascending runs in O(n log r); on 909k keys it
-        # beat quicksort up to about 8 runs (6.6 vs 16.7 ms at 2)
+        # timsort merges r ascending runs in O(n log r); on 909k int64
+        # keys (one AVX-512 Xeon core) it beat numpy's quicksort up to
+        # about 8 runs: 6.6 against 16.7 ms at 2 runs
         runs = 1 + np.count_nonzero(key[1:] < key[:-1])
         order = np.argsort(key, kind="stable" if runs <= 8 else "quicksort")
         key = key[order]

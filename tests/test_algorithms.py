@@ -756,7 +756,8 @@ def test_exchange_mode_auto_selection(tmp_path, monkeypatch):
 def test_num_workers_pins_engine_on_small_graph(algo, tmp_path, monkeypatch):
     """``num_workers=`` pins the actor engine under the small-graph gate,
     as it does for every gated algorithm; without it the driver replica
-    runs and no engine is built."""
+    runs and no engine is built.  The spy stops the call once the engine
+    is built: the engine paths have their own tests."""
     from raygraph.algos import strongly_connected_components
     from raygraph.algos.spectral import spectral_balanced_cut_clustering
     from raygraph.superstep import SuperstepEngine
@@ -770,15 +771,21 @@ def test_num_workers_pins_engine_on_small_graph(algo, tmp_path, monkeypatch):
     engines = []
     init = SuperstepEngine.__init__
 
+    class Built(Exception):
+        pass
+
     def spy(self, *a, **kw):
         init(self, *a, **kw)
         engines.append((self.executor, all(
             isinstance(w, ray.actor.ActorHandle) for w in self.workers)))
+        self.shutdown()
+        raise Built
 
     monkeypatch.setattr(SuperstepEngine, "__init__", spy)
     assert len(run().to_pandas()) == g.num_vertices
     assert engines == []
-    assert len(run(num_workers=2).to_pandas()) == g.num_vertices
+    with pytest.raises(Built):
+        run(num_workers=2)
     assert engines == [("actors", True)]
 
 

@@ -48,7 +48,7 @@ def _labels(ds, V):
 def test_balanced_cut_recovers_cliques(tmp_path):
     g = build(two_cliques_df(), tmp_path, "bc")
     labs = _labels(
-        spectral_balanced_cut_clustering(g, 2, 2, num_workers=4), 16
+        spectral_balanced_cut_clustering(g, 2, 2), 16
     )
     assert len(set(labs[:8])) == 1
     assert len(set(labs[8:])) == 1
@@ -67,8 +67,8 @@ def test_modularity_maximization_recovers_cliques(tmp_path):
 
 def test_balanced_cut_deterministic(tmp_path):
     g = build(fixtures.karate_df(), tmp_path, "det")
-    a = _labels(spectral_balanced_cut_clustering(g, 3, 2, num_workers=4), 34)
-    b = _labels(spectral_balanced_cut_clustering(g, 3, 2, num_workers=4), 34)
+    a = _labels(spectral_balanced_cut_clustering(g, 3, 2), 34)
+    b = _labels(spectral_balanced_cut_clustering(g, 3, 2), 34)
     assert np.array_equal(a, b)
 
 

@@ -70,11 +70,10 @@ def summarize(runs: dict, better: dict) -> list[str]:
         bq, cq = np.nanpercentile(b, [25, 50, 75]), np.nanpercentile(c, [25, 50, 75])
         gap = sign * (cq[1] - bq[1])  # > 0: the checkout is better
         iqr = bq[2] - bq[0]
+        med = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         out.append(
-            f"{name:<32}{bq[1]:>12.4g} [{bq[0]:.4g}, {bq[2]:.4g}]"
-            f"{cq[1]:>12.4g} [{cq[0]:.4g}, {cq[2]:.4g}]"
-            f"{wins:>5}/{len(b):<2}{gap:>11.4g}{iqr:>11.4g}"
-            + ("  gap > IQR" if gap > iqr else ""))
+            f"{name:<32}{med[0]:>30}{med[1]:>30}{f'{wins}/{len(b)}':>8}"
+            f"{gap:>11.4g}{iqr:>11.4g}" + ("  gap > IQR" if gap > iqr else ""))
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
