@@ -74,14 +74,12 @@ def group_pairs(a: np.ndarray, b: np.ndarray, weights=None, wide: bool = False):
     One sort, then one boundary mask over the sorted pairs.  The sort key
     is the packed composite ``a << 32 | b`` (valid while ``0 <= a < 2^31``
     and ``0 <= b < 2^32``), or, with ``wide=True`` (ids past 2^32), a
-    two-key ``np.lexsort``.  Input made of a few ascending runs (a
-    receiver's concatenated per-sender messages) is merged by the stable
-    sort; any other input takes the default quicksort.
+    two-key ``np.lexsort``.
 
     The weight sums accumulate in INPUT order (``np.bincount`` over the
     group id of each input position), whatever the sort, so both widths
-    and both sorts give bit-identical float sums.  ``np.add.reduceat``
-    over the sorted weights would not: it is not a sequential sum.
+    give bit-identical float sums.  ``np.add.reduceat`` over the sorted
+    weights would not: it is not a sequential sum.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -90,11 +88,7 @@ def group_pairs(a: np.ndarray, b: np.ndarray, weights=None, wide: bool = False):
         a_s, b_s = a[order], b[order]
     else:
         key = (a << np.int64(32)) | b
-        # timsort merges r ascending runs in O(n log r); on 909k int64
-        # keys (one AVX-512 Xeon core) it beat numpy's quicksort up to
-        # about 8 runs: 6.6 against 16.7 ms at 2 runs
-        runs = 1 + np.count_nonzero(key[1:] < key[:-1])
-        order = np.argsort(key, kind="stable" if runs <= 8 else "quicksort")
+        order = np.argsort(key)
         key = key[order]
         a_s, b_s = key >> np.int64(32), key & np.int64(0xFFFFFFFF)
     new = np.ones(len(order), dtype=bool)

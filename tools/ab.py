@@ -11,8 +11,8 @@ session to end, so one session runs at a time.
 For every metric the runs report (the end-to-end ones with ``--trace 0``,
 the per-layer ones with ``--trace 1``) it prints each side's median and
 quartiles, the number of pairs the checkout won (ties count for neither),
-and the median gap against REV's interquartile range.  ``--out`` also
-writes every run's result as JSON.
+and the median gap against REV's interquartile range.  Each run lasts
+``run_seconds`` from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -34,12 +35,20 @@ def export(rev: str, dest: str) -> str:
                          check=True, capture_output=True, text=True).stdout.strip()
     tree = os.path.join(dest, sha[:12])
     if not os.path.isdir(tree):
-        os.makedirs(tree)
-        archive = subprocess.Popen(["git", "-C", ROOT, "archive", sha],
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
-        if archive.wait():
-            raise RuntimeError(f"git archive {sha} failed")
+        # extract beside the final name and rename once complete, so an
+        # interrupted export is never reused as the base tree
+        os.makedirs(dest, exist_ok=True)
+        tmp = tempfile.mkdtemp(prefix=sha[:12] + ".", dir=dest)
+        try:
+            archive = subprocess.Popen(["git", "-C", ROOT, "archive", sha],
+                                       stdout=subprocess.PIPE)
+            subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
+            if archive.wait():
+                raise RuntimeError(f"git archive {sha} failed")
+            os.rename(tmp, tree)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
     return tree
 
 
@@ -57,7 +66,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) ->
 def summarize(runs: dict, better: dict) -> list[str]:
     """One line per metric: medians and quartiles, wins, gap vs base IQR."""
     base, change = runs["base"], runs["change"]
-    out = [f"{'metric':<32}{'base med [q1, q3]':>30}{'change med [q1, q3]':>30}"
+    out = [f"{'metric':<32}{'base med [q1, q3]':>34}{'change med [q1, q3]':>34}"
            f"{'wins':>8}{'gap':>11}{'base IQR':>11}"]
     names = dict.fromkeys(k for r in base + change for k in r["metrics"])
     for name in names:
@@ -72,7 +81,7 @@ def summarize(runs: dict, better: dict) -> list[str]:
         iqr = bq[2] - bq[0]
         med = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         out.append(
-            f"{name:<32}{med[0]:>30}{med[1]:>30}{f'{wins}/{len(b)}':>8}"
+            f"{name:<32} {med[0]:>33} {med[1]:>33}{f'{wins}/{len(b)}':>8}"
             f"{gap:>11.4g}{iqr:>11.4g}" + ("  gap > IQR" if gap > iqr else ""))
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in runs[side])
@@ -90,11 +99,9 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="seed of the first pair; pair i uses seed + i")
-    p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--dir", default=os.path.join(tempfile.gettempdir(), "raygraph-ab"),
                    help="where REV is exported")
-    p.add_argument("--out", help="write every run's result here as JSON")
     a = p.parse_args(argv)
 
     trees = {"base": export(a.rev, a.dir), "change": ROOT}
@@ -105,16 +112,11 @@ def main(argv=None) -> int:
     for i in range(a.pairs):
         seed = a.seed + i
         for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-            r = run_once(trees[side], a.workload, seed, a.seconds, a.trace)
-            r["seed"] = seed
+            r = run_once(trees[side], a.workload, seed, bench["run_seconds"], a.trace)
             runs[side].append(r)
             vals = " ".join(f"{k}={v['value']:.4g}" for k, v in r["metrics"].items()
                             if k in ("wall_s", "algos.lpa_s"))
             print(f"pair {i} seed {seed} {side}: {vals}", file=sys.stderr, flush=True)
-    if a.out:
-        with open(a.out, "w") as f:
-            json.dump({"rev": a.rev, "workload": a.workload, "trace": a.trace,
-                       "runs": runs}, f, indent=1)
     print(f"{a.workload}: {a.pairs} interleaved pairs, base {a.rev}, "
           f"seeds {a.seed}..{a.seed + a.pairs - 1}, trace {a.trace}")
     print("\n".join(summarize(runs, better)))
