@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import ray
-
-from raygraph.algos.pagerank import ConvergenceError
+from raygraph.algos.pagerank import ConvergenceError, _engine
 from raygraph.superstep import SuperstepEngine, gate_executor, get, ref_list
 
 
@@ -50,13 +48,11 @@ def katz_centrality(graph, alpha: float = 0.1, beta: float = 1.0,
                     checkpoint_dir: Optional[str] = None,
                     checkpoint_every: int = 1, resume: bool = False,
                     fail_on_nonconvergence: bool = True):
-    engine = SuperstepEngine(
-        graph, num_workers=num_workers,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-    )
+    engine = _engine(graph, num_workers, checkpoint_dir, checkpoint_every,
+                     resume)
     try:
         engine.wire_mirrors()
-        ray.get([w.set_state.remote("x", 0.0) for w in engine.workers])
+        get([w.set_state.remote("x", 0.0) for w in engine.workers])
         start_iter = 0
         if resume and checkpoint_dir:
             latest = engine.latest_complete_iteration("katz")
@@ -65,7 +61,7 @@ def katz_centrality(graph, alpha: float = 0.1, beta: float = 1.0,
                 start_iter = latest + 1
         for it in range(start_iter, max_iter):
             per_recv, _ = _spmv_round(engine, "x")
-            upd = ray.get(
+            upd = get(
                 [
                     engine.workers[q].gather_into.remote(
                         "x", per_recv[q], alpha=alpha, beta=beta
@@ -80,7 +76,7 @@ def katz_centrality(graph, alpha: float = 0.1, beta: float = 1.0,
                 if normalized:
                     sq = sum(u["local_sq"] for u in upd)
                     inv = 1.0 / math.sqrt(sq) if sq > 0 else 1.0
-                    ray.get([w.scale_state.remote("x", inv) for w in engine.workers])
+                    get([w.scale_state.remote("x", inv) for w in engine.workers])
                 return _result(engine, "x", "katz_centrality", out_dir)
         raise ConvergenceError(f"Katz failed to converge in {max_iter} iterations")
     finally:
@@ -92,14 +88,12 @@ def eigenvector_centrality(graph, tol: float = 1e-6, max_iter: int = 100,
                            checkpoint_dir: Optional[str] = None,
                            checkpoint_every: int = 1, resume: bool = False,
                            fail_on_nonconvergence: bool = True):
-    engine = SuperstepEngine(
-        graph, num_workers=num_workers,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-    )
+    engine = _engine(graph, num_workers, checkpoint_dir, checkpoint_every,
+                     resume)
     V = graph.num_vertices
     try:
         engine.wire_mirrors()
-        ray.get([w.set_state.remote("x", 1.0 / math.sqrt(V)) for w in engine.workers])
+        get([w.set_state.remote("x", 1.0 / math.sqrt(V)) for w in engine.workers])
         start_iter = 0
         if resume and checkpoint_dir:
             latest = engine.latest_complete_iteration("eigenvector")
@@ -108,7 +102,7 @@ def eigenvector_centrality(graph, tol: float = 1e-6, max_iter: int = 100,
                 start_iter = latest + 1
         for it in range(start_iter, max_iter):
             per_recv, _ = _spmv_round(engine, "x")
-            upd = ray.get(
+            upd = get(
                 [
                     engine.workers[q].gather_into.remote("y", per_recv[q])
                     for q in range(engine.W)
@@ -119,7 +113,7 @@ def eigenvector_centrality(graph, tol: float = 1e-6, max_iter: int = 100,
                 raise ConvergenceError("eigenvector: zero iterate (no edges?)")
             inv = 1.0 / math.sqrt(sq)
             # commit x ← ŷ and measure ‖ŷ − x_prev‖₁ (true normalized diff)
-            diffs = ray.get(
+            diffs = get(
                 [w.commit_scaled_diff.remote("y", "x", inv) for w in engine.workers]
             )
             l1 = sum(d["l1"] for d in diffs)
@@ -139,13 +133,13 @@ def hits(graph, tol: float = 1e-5, max_iter: int = 100,
     """Returns Dataset (vertex, hubs, authorities), L1-normalized."""
     import pyarrow as pa
 
-    engine = SuperstepEngine(graph, num_workers=num_workers)
+    engine = _engine(graph, num_workers)
     V = graph.num_vertices
     W = engine.W
     try:
         # one-time dst-property exchange wiring (update_edge_dst_property)
-        needed = ray.get([w.needed_dst_ids.remote() for w in engine.workers])
-        ray.get(
+        needed = get([w.needed_dst_ids.remote() for w in engine.workers])
+        get(
             [
                 engine.workers[p].register_requests.remote(
                     [needed[q][p] for q in range(W)]
@@ -153,11 +147,11 @@ def hits(graph, tol: float = 1e-5, max_iter: int = 100,
                 for p in range(W)
             ]
         )
-        ray.get([w.set_state.remote("h", 1.0 / V) for w in engine.workers])
+        get([w.set_state.remote("h", 1.0 / V) for w in engine.workers])
         for it in range(max_iter):
             # authorities: a = Aᵀ h, L1-normalized
             per_recv, _ = _spmv_round(engine, "h")
-            upd = ray.get(
+            upd = get(
                 [
                     engine.workers[q].gather_into.remote("a", per_recv[q])
                     for q in range(W)
@@ -165,13 +159,13 @@ def hits(graph, tol: float = 1e-5, max_iter: int = 100,
             )
             s = sum(u["local_sum"] for u in upd)
             if s > 0:
-                ray.get([w.scale_state.remote("a", 1.0 / s) for w in engine.workers])
+                get([w.scale_state.remote("a", 1.0 / s) for w in engine.workers])
             # serve authority values to the workers whose blocks need them
             served = [
                 ref_list(w.serve_dst_values.options(num_returns=W).remote("a"), W)
                 for w in engine.workers
             ]
-            ray.get(
+            get(
                 [
                     engine.workers[q].apply_dst_values.remote(
                         "a", [served[p][q] for p in range(W)]
@@ -180,11 +174,11 @@ def hits(graph, tol: float = 1e-5, max_iter: int = 100,
                 ]
             )
             # hubs: h[u] = Σ w·a[v] over out-edges, L1-normalized
-            upd2 = ray.get(
+            upd2 = get(
                 [w.out_accumulate.remote("h_raw", "a") for w in engine.workers]
             )
             s2 = sum(u["local_sum"] for u in upd2)
-            diffs = ray.get(
+            diffs = get(
                 [
                     w.commit_scaled_diff.remote("h_raw", "h", 1.0 / s2 if s2 > 0 else 1.0)
                     for w in engine.workers

@@ -67,9 +67,9 @@ def weakly_connected_components(
         import ray.data as rd
 
         V = graph.num_vertices
-        df = graph.edges_dataset(columns=["src", "dst"]).to_pandas()
-        src = df["src"].to_numpy(np.int64)
-        dst = df["dst"].to_numpy(np.int64)
+        t = graph.edge_table(["src", "dst"])
+        src = t.column("src").to_numpy()
+        dst = t.column("dst").to_numpy()
         labels = np.arange(V, dtype=np.int64)
         while True:
             prev = labels
@@ -202,12 +202,9 @@ def strongly_connected_components(
             and V <= 2_000_000):
         import ray.data as rd
 
-        df = graph.edges_dataset(columns=["src", "dst"]).to_pandas()
+        t = graph.edge_table(["src", "dst"])
         labels = _scc_local(
-            V,
-            df["src"].to_numpy(np.int64),
-            df["dst"].to_numpy(np.int64),
-        )
+            V, t.column("src").to_numpy(), t.column("dst").to_numpy())
         out = rd.from_pandas(
             pd.DataFrame(
                 {"vertex": np.arange(V, dtype=np.int64), "labels": labels}

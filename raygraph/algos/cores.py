@@ -79,9 +79,9 @@ def core_number(graph, broadcast_limit: int = 20_000_000, num_workers=None,
     V = graph.num_vertices
     if V > broadcast_limit or graph.num_edges > local_edge_limit:
         return _core_number_distributed(graph, num_workers=num_workers)
-    df = graph.edges_dataset(columns=["src", "dst"]).to_pandas()
-    src = df["src"].to_numpy(np.int64)
-    dst = df["dst"].to_numpy(np.int64)
+    t = graph.edge_table(["src", "dst"])
+    src = t.column("src").to_numpy()
+    dst = t.column("dst").to_numpy()
     keep = src != dst
     src, dst = src[keep], dst[keep]
 

@@ -42,10 +42,10 @@ def batched_ego_graphs(graph, seeds: Sequence[int], radius: int = 1,
         import ray.data as rd
 
         V = graph.num_vertices
-        df = graph.edges_dataset(columns=["src", "dst", "weight"]).to_pandas()
-        src = df["src"].to_numpy(np.int64)
-        dst = df["dst"].to_numpy(np.int64)
-        w = df["weight"].to_numpy(np.float64)
+        t = graph.edge_table()
+        src = t.column("src").to_numpy()
+        dst = t.column("dst").to_numpy()
+        w = t.column("weight").to_numpy()
         order = np.argsort(src, kind="stable")
         nbr = dst[order]
         indptr = np.zeros(V + 1, np.int64)

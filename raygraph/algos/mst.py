@@ -367,6 +367,15 @@ def maximum_spanning_tree(graph, max_rounds: int = 64,
 
             return ds.map_batches(neg, batch_format="pandas")
 
+        def edge_table(self, columns=("src", "dst", "weight")):
+            import pyarrow.compute as pc
+
+            t = self._g.edge_table(columns)
+            if "weight" not in t.column_names:
+                return t
+            return t.set_column(t.column_names.index("weight"), "weight",
+                                pc.negate(t.column("weight")))
+
     res = minimum_spanning_tree(_Neg(graph), max_rounds=max_rounds,
                                 driver_limit=driver_limit)
     return res.map_batches(

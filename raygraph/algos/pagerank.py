@@ -26,11 +26,24 @@ from typing import Optional
 
 import numpy as np
 
-from raygraph.superstep import SuperstepEngine
+from raygraph.superstep import SuperstepEngine, gate_executor, get
 
 
 class ConvergenceError(RuntimeError):
     """Raised when max_iter is exceeded (pagerank_impl.cuh:289-290)."""
+
+
+def _engine(graph, num_workers, checkpoint_dir=None, checkpoint_every=1,
+            resume=False) -> SuperstepEngine:
+    """The engine of PageRank and the spmv centralities: in the driver for
+    graphs of up to 500k stored edges (``num_workers=``, a checkpoint or
+    resume pin the actor pool)."""
+    return SuperstepEngine(
+        graph, num_workers=num_workers,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
+        executor=gate_executor(graph, num_workers, checkpoint_dir, resume,
+                               500_000),
+    )
 
 
 def pagerank(
@@ -58,15 +71,16 @@ def pagerank(
     ``link_analysis/pagerank.py:229``) returns the max_iter-th iterate
     instead of raising — with ``tol=0`` this runs exactly ``max_iter``
     power iterations (used by the SQL-checkable fixed-iteration query).
+
+    Graphs of up to 500k stored edges run the engine in the driver
+    (``num_workers=``, a checkpoint or resume pin the actor pool).
     """
     # ``engine=``: reuse a caller-held engine over the same graph (one
     # actor-pool spin-up for several algorithms); the caller owns shutdown.
     own_engine = engine is None
     if own_engine:
-        engine = SuperstepEngine(
-            graph, num_workers=num_workers,
-            checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        )
+        engine = _engine(graph, num_workers, checkpoint_dir,
+                         checkpoint_every, resume)
     else:
         if engine.graph is not graph and engine.graph.base_dir != graph.base_dir:
             raise ValueError("engine= was built over a different graph")
@@ -85,8 +99,6 @@ def pagerank(
         s = vals.sum()
         return (vids, vals / s if s != 0 else vals)
 
-    import ray
-
     try:
         return _run(engine, graph, alpha, tol, max_iter, _pair(nstart),
                     _pair(personalization), personalization is not None,
@@ -99,8 +111,6 @@ def pagerank(
 def _run(engine, graph, alpha, tol, max_iter, nstart, personalization,
          has_pers, checkpoint_dir, resume, out_dir,
          fail_on_nonconvergence=True):
-    import ray
-
     V = graph.num_vertices
     if engine.wire_mirrors():
         # split high-degree graph: 3-step init — extended out-weight
@@ -110,9 +120,9 @@ def _run(engine, graph, alpha, tol, max_iter, nstart, personalization,
             update_args=(nstart, personalization),
         )
         engine.fetch_mirror("out_wsum")
-        ray.get([w.pagerank_finish_init.remote() for w in engine.workers])
+        get([w.pagerank_finish_init.remote() for w in engine.workers])
     else:
-        ray.get([
+        get([
             w.pagerank_init.remote(nstart=nstart, personalization=personalization)
             for w in engine.workers
         ])
@@ -156,18 +166,14 @@ def _run(engine, graph, alpha, tol, max_iter, nstart, personalization,
         for it in range(start_iter, max_iter):
             refs = engine.pagerank_round_async(alpha, has_pers)
             if prev_refs is not None:
-                import ray
-
-                l1 = sum(s["l1"] for s in ray.get(prev_refs))
+                l1 = sum(s["l1"] for s in get(prev_refs))
                 if l1 < tol:
-                    ray.get(refs)  # join the in-flight extra round
+                    get(refs)  # join the in-flight extra round
                     converged = True
                     break
             prev_refs = refs
         if not converged and prev_refs is not None:
-            import ray
-
-            l1 = sum(s["l1"] for s in ray.get(prev_refs))
+            l1 = sum(s["l1"] for s in get(prev_refs))
             converged = l1 < tol
     else:
         for it in range(start_iter, max_iter):

@@ -143,10 +143,10 @@ def _spectral_local(graph, num_clusters, k, mode, tol, max_iter,
     from raygraph.hashing import hash_int64
 
     V = graph.num_vertices
-    df = graph.edges_dataset(columns=["src", "dst", "weight"]).to_pandas()
-    src = df["src"].to_numpy(np.int64)
-    dst = df["dst"].to_numpy(np.int64)
-    w = df["weight"].to_numpy(np.float64)
+    t = graph.edge_table()
+    src = t.column("src").to_numpy()
+    dst = t.column("dst").to_numpy()
+    w = t.column("weight").to_numpy()
     deg = np.bincount(src, weights=w, minlength=V)
     dmax = float(deg.max(initial=0.0))
     m2 = float(deg.sum())

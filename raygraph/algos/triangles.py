@@ -89,11 +89,8 @@ def _triangle_count_local(graph):
     every closed wedge crediting its three corners."""
     import ray.data as rd
 
-    from raygraph.graph import _driver_table
-
     V = graph.num_vertices
-    t = _driver_table(graph.edges_dataset(columns=["src", "dst"]),
-                      pa.schema({"src": pa.int64(), "dst": pa.int64()}))
+    t = graph.edge_table(["src", "dst"])
     src = t.column("src").to_numpy()
     dst = t.column("dst").to_numpy()
     # both directions stored (undirected) → src bincount IS the degree

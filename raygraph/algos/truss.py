@@ -38,16 +38,15 @@ def _canonical_edges(graph, local: bool):
     """Undirected stored-both-directions edges → one canonical (src<dst)
     row per edge, min weight (matches the symmetrize dedup rule): a driver
     ``pa.Table`` when ``local``, else a Dataset (one dedup shuffle)."""
-    from raygraph.graph import _combine, _driver_table, dedup_edges
-
-    e = graph.edges_dataset(columns=list(_EDGES.names))
+    from raygraph.graph import _combine, dedup_edges
 
     def canon(t: pa.Table) -> pa.Table:
         # drops self-loops and the reversed copies
         return t.filter(pc.less(t.column("src"), t.column("dst")))
 
     if local:
-        return _combine(canon(_driver_table(e, _EDGES)), "min")
+        return _combine(canon(graph.edge_table(_EDGES.names)), "min")
+    e = graph.edges_dataset(columns=list(_EDGES.names))
     return dedup_edges(e.map_batches(canon, batch_format="pyarrow"), "min")
 
 

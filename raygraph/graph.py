@@ -35,6 +35,7 @@ its whole-graph escape hatch).
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
@@ -143,6 +144,19 @@ def _driver_table(ds, schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(
         [b.select(schema.names) for b in blocks if b.num_rows]
         or [schema.empty_table()],
+        promote_options="permissive")
+
+
+def _read_files(pattern: str, schema: pa.Schema) -> pa.Table:
+    """The parquet files matching ``pattern`` as one driver table with
+    ``schema``'s columns — a pyarrow read, no Ray Data execution.  Empty
+    files are dropped, as in :func:`_driver_table`."""
+    import pyarrow.parquet as pq
+
+    tables = [pq.read_table(f, columns=schema.names)
+              for f in sorted(glob.glob(pattern))]
+    return pa.concat_tables(
+        [t for t in tables if t.num_rows] or [schema.empty_table()],
         promote_options="permissive")
 
 
@@ -677,6 +691,18 @@ class Graph:
     def __init__(self, base_dir: str, meta: dict):
         self.base_dir = base_dir
         self.meta = meta
+        # driver-side copies of the immutable on-disk graph, read once per
+        # handle by the small-graph gates (see edge_table / vertex_keys)
+        self._edges: Optional[pa.Table] = None
+        self._keys = None
+        self._unrenumber_ref = None
+
+    def __getstate__(self):
+        # a handle shipped to a task carries its directory, not its caches
+        return {"base_dir": self.base_dir, "meta": self.meta}
+
+    def __setstate__(self, state):
+        self.__init__(state["base_dir"], state["meta"])
 
     # -- properties -------------------------------------------------------
     @property
@@ -729,6 +755,28 @@ class Graph:
 
         return read_parquet_dir(os.path.join(self.base_dir, "vmap"))
 
+    def edge_table(self, columns=CANON) -> pa.Table:
+        """The stored edges as one driver table (a pyarrow read of
+        ``edges/``, no Ray Data execution), read once per handle.  For the
+        small-graph gates: callers check the graph's size first."""
+        if self._edges is None:
+            self._edges = _read_files(
+                os.path.join(self.edges_dir(), "part=*", "*.parquet"),
+                _EDGES).combine_chunks()
+        return self._edges.select(list(columns))
+
+    def vertex_keys(self) -> pa.ChunkedArray:
+        """External key of every vertex, indexed by vid (a pyarrow read of
+        ``vmap/``, once per handle).  V-sized: callers stay under the
+        ``broadcast_limit`` switch of :meth:`unrenumber`."""
+        if self._keys is None:
+            t = _read_files(os.path.join(self.base_dir, "vmap", "*.parquet"),
+                            pa.schema({"vertex_key": pa.string(),
+                                       "vid": pa.int64()}))
+            self._keys = t.column("vertex_key").take(
+                pc.sort_indices(t.column("vid")))
+        return self._keys
+
     def vertices_dataset(self):
         """Dataset of (vid:int64) for all vertices — derived, not stored."""
         rd = _rd()
@@ -743,31 +791,27 @@ class Graph:
         """Map internal vids in ``ds[col]`` back to external keys.
 
         ``graph_classes.py:412-451`` — inverse of the renumber translate.
-        Small maps broadcast once (``ray.put`` + searchsorted); past
-        ``broadcast_limit`` vertices it falls back to a bucketed hash join
-        (same size switch as ``translate_edges``) so the driver never holds
-        the vmap.
+        Small maps broadcast once (``ray.put`` of :meth:`vertex_keys`,
+        indexed by vid); past ``broadcast_limit`` vertices it falls back to
+        a bucketed hash join (same size switch as ``translate_edges``) so
+        the driver never holds the vmap.
         """
         if not self.renumbered:
             return ds
         if self.num_vertices <= broadcast_limit:
             import ray
 
-            # the vmap is immutable — pull + ray.put once per handle, so
-            # a query unrenumbering several columns pays one driver pull
-            ref = getattr(self, "_unrenumber_ref", None)
+            # the vmap is immutable — ray.put once per handle, so a query
+            # unrenumbering several columns pays one driver pull
+            ref = self._unrenumber_ref
             if ref is None:
-                vdf = self.vmap_dataset().to_pandas().sort_values("vid")
                 ref = ray.put(
-                    (vdf["vid"].to_numpy(), vdf["vertex_key"].to_numpy())
-                )
+                    self.vertex_keys().to_numpy(zero_copy_only=False))
                 self._unrenumber_ref = ref
 
             def fn(df: pd.DataFrame) -> pd.DataFrame:
-                karr, varr = ray.get(ref)
-                pos = np.searchsorted(karr, df[col].to_numpy())
                 df = df.copy()
-                df[col] = varr[pos]
+                df[col] = ray.get(ref)[df[col].to_numpy()]
                 return df
 
             return ds.map_batches(fn, batch_format="pandas")

@@ -86,9 +86,9 @@ def to_networkx(graph, edge_limit: int = 5_000_000):
             f"graph has {graph.num_edges} edges > edge_limit={edge_limit}; "
             "to_networkx is a driver-side convenience, not a scale path"
         )
-    ds = graph.edges_dataset(columns=["src", "dst", "weight"])
-    ds = graph.unrenumber(graph.unrenumber(ds, "src"), "dst")
-    pdf = ds.to_pandas()
+    from raygraph.sources import to_pandas_edgelist
+
+    pdf = to_pandas_edgelist(graph)
     return nx.from_pandas_edgelist(
         pdf, source="src", target="dst", edge_attr="weight",
         create_using=nx.DiGraph if graph.directed else nx.Graph,

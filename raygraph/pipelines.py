@@ -19,10 +19,12 @@ from __future__ import annotations
 import os
 import tempfile
 import uuid
+from typing import Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 SUPP_OFFSET = 1_000_000
 
@@ -1509,22 +1511,48 @@ def q_hits(sf_dir: str):
 
 
 def _min_key_vid(g) -> int:
-    """Internal vid of the globally-minimum external key — per-batch partial
-    mins, tiny driver merge (never materializes the vmap)."""
-    part = g.vmap_dataset().map_batches(
-        lambda df: df.sort_values("vertex_key").head(1), batch_format="pandas"
-    ).to_pandas()
-    return int(part.sort_values("vertex_key").iloc[0]["vid"])
+    """Internal vid of the globally-minimum external key."""
+    return _min_key_vids(g, 1)[0]
 
 
-def _min_key_vids(g, n: int) -> list:
-    """Internal vids of the n smallest external keys — per-batch partial
-    top-n, tiny driver merge (never materializes the vmap)."""
-    part = g.vmap_dataset().map_batches(
-        lambda df, nn=n: df.sort_values("vertex_key").head(nn),
-        batch_format="pandas",
-    ).to_pandas()
+def _min_key_vids(g, n: int, prefix: Optional[str] = None) -> list:
+    """Internal vids of the n smallest external keys (of those starting
+    with ``prefix``, if given), ascending by key.  Up to
+    ``broadcast_limit`` vertices they come from the handle's key column
+    (keys are distinct: no ties); past it, from per-batch partial top-n
+    and a tiny driver merge, so the driver never holds the vmap."""
+    from raygraph.graph import DEFAULT_BROADCAST_LIMIT
+
+    if g.num_vertices <= DEFAULT_BROADCAST_LIMIT:
+        keys = g.vertex_keys()
+        vids = (np.arange(len(keys)) if prefix is None else
+                np.flatnonzero(pc.starts_with(keys, prefix).to_numpy(
+                    zero_copy_only=False)))
+        order = pc.sort_indices(keys.take(vids)).to_numpy()[:n]
+        return [int(v) for v in vids[order]]
+
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        if prefix is not None:
+            df = df[df["vertex_key"].str.startswith(prefix)]
+        return df.sort_values("vertex_key").head(n)
+
+    part = g.vmap_dataset().map_batches(top, batch_format="pandas").to_pandas()
     return [int(v) for v in part.sort_values("vertex_key").head(n)["vid"]]
+
+
+def _key_vids(g, keys: list) -> np.ndarray:
+    """Internal vids of the external ``keys``: from the handle's key column
+    up to ``broadcast_limit`` vertices, else by a filtered vmap scan."""
+    from raygraph.graph import DEFAULT_BROADCAST_LIMIT
+
+    if g.num_vertices <= DEFAULT_BROADCAST_LIMIT:
+        col = g.vertex_keys()
+        return np.flatnonzero(
+            pc.is_in(col, pa.array(keys, col.type)).to_numpy(
+                zero_copy_only=False))
+    return g.vmap_dataset().map_batches(
+        lambda df: df[df["vertex_key"].isin(keys)], batch_format="pandas",
+    ).to_pandas()["vid"].to_numpy(np.int64)
 
 
 _W3_CACHE: dict = {}
@@ -1784,18 +1812,7 @@ def q_node2vec(sf_dir: str):
     from raygraph.algos.sampling import node2vec_walks
 
     g = _w3_subgraph(sf_dir, "n2v")
-    starts = (
-        g.vmap_dataset()
-        .map_batches(
-            lambda df: df[df["vertex_key"].str.startswith("part::")]
-            .sort_values("vertex_key").head(5),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .sort_values("vertex_key")
-        .head(5)["vid"]
-        .to_numpy(np.int64)
-    )
+    starts = np.array(_min_key_vids(g, 5, prefix="part::"), np.int64)
     walks = node2vec_walks(g, starts, max_length=5, p=2.0, q=0.5, seed=42)
     return g.unrenumber(walks, "vertex").map_batches(
         lambda df: pd.DataFrame(
@@ -1826,11 +1843,7 @@ def q_bfs_paths(sf_dir: str):
         lambda df: df.sort_values("vertex", ascending=False).head(5),
         batch_format="pandas",
     ).to_pandas().sort_values("vertex", ascending=False).head(5)
-    vm = g.vmap_dataset().map_batches(
-        lambda df: df[df["vertex_key"].isin(keyed["vertex"].tolist())],
-        batch_format="pandas",
-    ).to_pandas()
-    paths = extract_bfs_paths(g, res, vm["vid"].to_numpy(np.int64))
+    paths = extract_bfs_paths(g, res, _key_vids(g, keyed["vertex"].tolist()))
     out = g.unrenumber(paths, "dest")
     out = g.unrenumber(out, "vertex")
     return out.map_batches(
@@ -1914,12 +1927,7 @@ def q_random_walks(sf_dir: str):
     from raygraph.algos.sampling import random_walks
 
     g = _w3_subgraph(sf_dir, "rw")
-    vmap_part = g.vmap_dataset().map_batches(
-        lambda df: df[df["vertex_key"].str.startswith("part::")]
-        .sort_values("vertex_key").head(5),
-        batch_format="pandas",
-    ).to_pandas().sort_values("vertex_key").head(5)
-    starts = vmap_part["vid"].to_numpy(np.int64)
+    starts = np.array(_min_key_vids(g, 5, prefix="part::"), np.int64)
     walks = random_walks(g, starts, max_length=4, seed=42)
     return g.unrenumber(walks, "vertex").map_batches(
         lambda df: pd.DataFrame(
@@ -2047,12 +2055,7 @@ def q_biased_walks(sf_dir: str):
     from raygraph.algos.sampling import biased_random_walks
 
     g = _ps_graph_und(sf_dir, "bw")
-    vmap_part = g.vmap_dataset().map_batches(
-        lambda df: df[df["vertex_key"].str.startswith("part::")]
-        .sort_values("vertex_key").head(5),
-        batch_format="pandas",
-    ).to_pandas().sort_values("vertex_key").head(5)
-    starts = vmap_part["vid"].to_numpy(np.int64)
+    starts = np.array(_min_key_vids(g, 5, prefix="part::"), np.int64)
     walks = biased_random_walks(g, starts, max_length=4, seed=42)
     return g.unrenumber(walks, "vertex").map_batches(
         lambda df: pd.DataFrame(
@@ -2346,14 +2349,7 @@ def q_neighbor_sample(sf_dir: str):
     from raygraph.algos.sampling import uniform_neighbor_sample
 
     g = _ps_graph_und(sf_dir, "uns")
-    # partial top-5 per batch, tiny driver merge (the _min_key_vids
-    # pattern — never materializes the vmap on the driver)
-    part = g.vmap_dataset().map_batches(
-        lambda df: df[df["vertex_key"].str.startswith("part::")]
-        .sort_values("vertex_key").head(5),
-        batch_format="pandas",
-    ).to_pandas()
-    starts = part.sort_values("vertex_key")["vid"].head(5).to_numpy()
+    starts = np.array(_min_key_vids(g, 5, prefix="part::"), np.int64)
     return uniform_neighbor_sample(g, starts, fanouts=[4, 2], seed=42)
 
 

@@ -190,13 +190,12 @@ def read_edges_mtx(path: str):
 
 def to_pandas_edgelist(graph) -> pd.DataFrame:
     """``simpleGraph.py:246`` to_pandas_edgelist — small graphs only."""
-    df = graph.edges_dataset().to_pandas()
+    t = graph.edge_table()
     if graph.renumbered:
-        for col in ("src", "dst"):
-            import ray.data as rd
-
-            df = graph.unrenumber(rd.from_pandas(df), col).to_pandas()
-    return df
+        keys = graph.vertex_keys()
+        t = t.set_column(0, "src", keys.take(t.column("src")))
+        t = t.set_column(1, "dst", keys.take(t.column("dst")))
+    return t.to_pandas()
 
 
 def to_numpy_array(graph) -> np.ndarray:
@@ -205,8 +204,9 @@ def to_numpy_array(graph) -> np.ndarray:
     if V > 20_000:
         raise ValueError("to_numpy_array is for small graphs (V ≤ 20k)")
     A = np.zeros((V, V))
-    e = graph.edges_dataset().to_pandas()
-    np.add.at(A, (e["src"].to_numpy(), e["dst"].to_numpy()), e["weight"].to_numpy())
+    e = graph.edge_table()
+    np.add.at(A, (e.column("src").to_numpy(), e.column("dst").to_numpy()),
+              e.column("weight").to_numpy())
     return A
 
 

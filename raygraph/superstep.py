@@ -26,9 +26,11 @@ Two executors run the same ``PartitionWorker`` kernels.  The actor pool
 holds W workers and passes messages as object refs.  The in-driver
 executor holds one worker (W=1, packed exchange) in the driver and calls
 it directly; :func:`get` lets the same receive code take either refs or
-values.  The small-graph gates of BFS, SSSP and LPA pick the in-driver
-executor, so a small graph pays no actor round-trips or object-store
-copies, and there is no second, hand-written kernel to keep in step.
+values.  The small-graph gates (:func:`gate_executor`) of BFS, SSSP, LPA,
+betweenness, PageRank, Katz, eigenvector centrality and HITS pick the
+in-driver executor, so a small graph pays no actor round-trips,
+object-store copies or result parquet, and there is no second,
+hand-written kernel to keep in step.
 
 Scale/skew notes:
 * Messages are combined per worker before the exchange (block-local
@@ -528,38 +530,43 @@ class PartitionWorker:
                 delattr(self, attr)
         return True
 
+    def state_table(self, names) -> pa.Table:
+        """Owned vertex state as one table: ``vertex`` plus ``names``."""
+        return pa.table({"vertex": self.owned,
+                         **{n: self.state[n] for n in names}})
+
     def write_state(self, out_dir: str, names, file_tag: Optional[str] = None):
         """Write owned vertex state, one parquet file per graph partition."""
         os.makedirs(out_dir, exist_ok=True)
+        t = self.state_table(names)
         written = []
         for p in self.parts:
             mask = self.owned_part == p
-            cols = {"vertex": self.owned[mask]}
-            for n in names:
-                cols[n] = self.state[n][mask]
             path = os.path.join(out_dir, f"part-{p:05d}.parquet")
             # per-vertex state is mostly distinct values: a dictionary page
             # would be built and then abandoned on every checkpoint
-            pq.write_table(pa.table(cols), path, use_dictionary=False)
+            pq.write_table(t.filter(mask), path, use_dictionary=False)
             written.append((p, int(mask.sum())))
         return written
+
+    def edge_state_table(self, names) -> pa.Table:
+        """Per-edge state as one table keyed by global ``(src, dst)``."""
+        return pa.table({"src": self.owned[self.src_local],
+                         "dst": self.dst_unique[self.dst_inverse],
+                         **{n: self.state[n] for n in names}})
 
     def write_edge_state(self, out_dir: str, names):
         """Write per-edge state keyed by global (src, dst), one parquet file
         per graph partition (an edge belongs to its src's partition — the
         1D layout, so the write is shuffle-free)."""
         os.makedirs(out_dir, exist_ok=True)
-        src_g = self.owned[self.src_local]
-        dst_g = self.dst_unique[self.dst_inverse]
+        t = self.edge_state_table(names)
         src_part = self.owned_part[self.src_local]
         written = []
         for p in self.parts:
             mask = src_part == p
-            cols = {"src": src_g[mask], "dst": dst_g[mask]}
-            for n in names:
-                cols[n] = self.state[n][mask]
             path = os.path.join(out_dir, f"part-{p:05d}.parquet")
-            pq.write_table(pa.table(cols), path)
+            pq.write_table(t.filter(mask), path)
             written.append((p, int(mask.sum())))
         return written
 
@@ -2563,7 +2570,7 @@ class SuperstepEngine:
         """Single-barrier pagerank superstep in the engine's exchange mode.
         Split graphs pay one extra mirror-sync round for the pr values of
         foreign srcs."""
-        return ray.get(self.pagerank_round_async(alpha, has_pers))
+        return get(self.pagerank_round_async(alpha, has_pers))
 
     def spmv_round_refs(self, name: str):
         """Scatter for one spmv round; returns (per-receiver msg ref lists
@@ -2581,7 +2588,7 @@ class SuperstepEngine:
                     name, ship_vids)
                 for w in self.workers
             ]
-            stats = ray.get([o[W] for o in outs])
+            stats = get([o[W] for o in outs])
             if self.exchange_mode == "tree":
                 per_receiver = [
                     [
@@ -2601,7 +2608,7 @@ class SuperstepEngine:
             for w in self.workers
         ]
         msg_refs = [o[0] for o in outs]
-        stats = ray.get([o[1] for o in outs])
+        stats = get([o[1] for o in outs])
         return [msg_refs] * W, stats
 
     def reset(self):
@@ -2639,42 +2646,45 @@ class SuperstepEngine:
         self.workers = []
 
     def result_dataset(self, names, out_dir: Optional[str] = None):
-        """Final vertex state as a Dataset (per-partition parquet on disk).
+        """Final vertex state ``(vertex, *names)`` as a Dataset, then shut
+        the engine down.
 
-        Writes through the workers, then shuts the engine down.  With
-        ``_keep_alive`` set (engine reuse across algorithms) the workers
-        stay with the engine and the caller owns ``shutdown()``; the
-        returned Dataset is a lazy read handle either way.
+        The driver executor with no ``out_dir`` returns the state table in
+        memory (``from_arrow``: nothing is written or read back).  Otherwise
+        the workers write per-partition parquet to ``out_dir`` (a temporary
+        directory if None) and the returned Dataset is a lazy read of it.
+        With ``_keep_alive`` set (engine reuse across algorithms) the
+        workers stay with the engine and the caller owns ``shutdown()``.
         """
-        import tempfile
-        import uuid
-
-        if out_dir is None:
-            out_dir = os.path.join(
-                tempfile.gettempdir(), "raygraph", f"result-{uuid.uuid4().hex[:12]}"
-            )
-        get([w.write_state.remote(out_dir, names) for w in self.workers])
-        if not getattr(self, "_keep_alive", False):
-            self.shutdown()
-        # driver-side footer fetch: the default provider's remote metadata
-        # tasks can stall behind the build's cleanup window (see
-        # sources.driver_meta_provider)
-        from raygraph.sources import read_parquet_dir
-
-        return read_parquet_dir(out_dir)
+        return self._result("state_table", "write_state", names, out_dir)
 
     def edge_result_dataset(self, names, out_dir: Optional[str] = None):
-        """Final per-edge state as a Dataset keyed by (src, dst)."""
-        import tempfile
-        import uuid
+        """Final per-edge state ``(src, dst, *names)`` as a Dataset, in
+        memory or written and read back as in :meth:`result_dataset`."""
+        return self._result("edge_state_table", "write_edge_state", names,
+                            out_dir)
 
-        if out_dir is None:
-            out_dir = os.path.join(
-                tempfile.gettempdir(), "raygraph", f"eresult-{uuid.uuid4().hex[:12]}"
-            )
-        get([w.write_edge_state.remote(out_dir, names) for w in self.workers])
-        if not getattr(self, "_keep_alive", False):
+    def _result(self, table_method: str, write_method: str, names, out_dir):
+        if self.executor == "driver" and out_dir is None:
+            import ray.data as rd
+
+            ds = rd.from_arrow(
+                getattr(self.workers[0], table_method).remote(names))
+        else:
+            import tempfile
+            import uuid
+
+            from raygraph.sources import read_parquet_dir
+
+            if out_dir is None:
+                out_dir = os.path.join(tempfile.gettempdir(), "raygraph",
+                                       f"result-{uuid.uuid4().hex[:12]}")
+            get([getattr(w, write_method).remote(out_dir, names)
+                 for w in self.workers])
+            # driver-side footer fetch: the default provider's remote
+            # metadata tasks can stall behind the build's cleanup window
+            # (see sources.driver_meta_provider)
+            ds = read_parquet_dir(out_dir)
+        if not self._keep_alive:
             self.shutdown()
-        from raygraph.sources import read_parquet_dir
-
-        return read_parquet_dir(out_dir)
+        return ds

@@ -812,17 +812,24 @@ def test_scc_local_matches_engine(tmp_path):
 
 @pytest.mark.parametrize("exchange", ["packed", "sliced"])
 @pytest.mark.parametrize("graph_name", ["karate", "random"])
-@pytest.mark.parametrize("algo", ["bfs", "sssp", "lpa", "bc", "ebc"])
+@pytest.mark.parametrize("algo", ["bfs", "sssp", "lpa", "bc", "ebc",
+                                  "pagerank", "katz", "eigenvector", "hits"])
 def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
                               monkeypatch):
     """One kernel, two executors: the small-graph gate runs the engine in
     the driver, and its output is bit-identical to the actor pool at W=1
     and W=3 in either exchange mode.  The gated call starts no actor and
-    leaves the idle pool alone; ``local_edge_limit=0`` takes the pool."""
+    leaves the idle pool alone; ``local_edge_limit=0`` takes the pool.
+    The spmv algorithms (PageRank, Katz, eigenvector, HITS) have no
+    ``local_edge_limit``; their float sums over W=3 senders add in another
+    order, so W=3 agrees to 1e-12 and W=1 bit for bit."""
     from raygraph import superstep
     from raygraph.algos.centrality import (
         betweenness_centrality,
         edge_betweenness_centrality,
+        eigenvector_centrality,
+        hits,
+        katz_centrality,
     )
     from raygraph.algos.traversal import bfs, sssp
     from raygraph.superstep import SuperstepEngine
@@ -845,6 +852,12 @@ def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
         "lpa": lambda **kw: label_propagation(g, max_iter=15, **kw),
         "bc": lambda **kw: betweenness_centrality(g, k=16, **kw),
         "ebc": lambda **kw: edge_betweenness_centrality(g, k=16, **kw),
+        "pagerank": lambda **kw: pagerank(g, tol=1e-10, max_iter=200, **kw),
+        "katz": lambda **kw: katz_centrality(g, alpha=0.01, tol=1e-10,
+                                             max_iter=200, **kw),
+        "eigenvector": lambda **kw: eigenvector_centrality(
+            g, tol=1e-8, max_iter=500, **kw),
+        "hits": lambda **kw: hits(g, tol=1e-8, max_iter=200, **kw),
     }[algo]
     key = ["src", "dst"] if algo == "ebc" else ["vertex"]
 
@@ -877,12 +890,15 @@ def test_executor_equivalence(algo, graph_name, exchange, tmp_path,
     assert spawned == []
     assert [w._actor_id for w in superstep._idle_workers()] == idle
 
-    for W in (1, 3):
-        pd.testing.assert_frame_equal(got, result(num_workers=W),
-                                      check_exact=True)
-    pd.testing.assert_frame_equal(got, result(local_edge_limit=0),
-                                  check_exact=True)
-    assert engines[1:] == [("actors", True)] * 3
+    spmv = algo in ("pagerank", "katz", "eigenvector", "hits")
+    pinned = [{"num_workers": 1}, {"num_workers": 3}]
+    if not spmv:
+        pinned.append({"local_edge_limit": 0})
+    for kw in pinned:
+        pd.testing.assert_frame_equal(
+            got, result(**kw), check_exact=not spmv or kw["num_workers"] == 1,
+            rtol=0, atol=1e-12)
+    assert engines[1:] == [("actors", True)] * len(pinned)
     assert superstep._idle_workers()
 
     if algo == "lpa":
