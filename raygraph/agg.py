@@ -7,15 +7,18 @@ pattern instead (the reference's two-level reduction,
 ``per_v_transform_reduce_dst_key_aggregated_outgoing_e.cuh``; Ray guide
 "Aggregation at scale"):
 
-1. **combine** — inside ``map_batches``, pandas hash-groupby each batch and
-   emit one partial row per (key, batch); append ``__bk = hash(keys) % B``.
-2. **shuffle** — ONE Ray groupby on the small-cardinality int bucket column.
-3. **finalize** — per bucket, pandas hash-groupby the partials.
+1. **combine** — inside ``map_batches``, one Arrow ``group_by`` per batch
+   emits one partial row per (key, batch).
+2. **shuffle** — :func:`raygraph.joins.bucket_exchange`: ONE Ray groupby
+   on the small-cardinality int bucket column ``__bk``.
+3. **finalize** — per bucket, the same Arrow ``group_by`` over the
+   partials.
 
 This turns a 79s two-string-key groupby of 180k rows into <1s, and scales:
 shuffle volume is O(distinct keys per batch), hot keys still land in one
 bucket but a bucket only has to fit one task's heap (raise ``num_buckets``
-to salt further).
+to salt further).  Every stage moves Arrow tables; rows with a null key
+are dropped, as pandas ``groupby`` drops them.
 
 Supported ops: count, sum, min, max (all combinable two-phase).
 """
@@ -25,29 +28,45 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from raygraph.joins import _key_hash, coalesce_for_exchange
-
-
-def _pa_array(s: pd.Series) -> pa.Array:
-    """pandas Series → Arrow array with an EXPLICIT type (keeps
-    empty-batch schemas identical to populated ones).  Object columns
-    hold strings in this module's partials; pandas extension dtypes
-    (nullable Int64 etc.) convert through Arrow's own pandas bridge."""
-    if s.dtype == object:
-        return pa.array(s.to_numpy(), type=pa.string())
-    try:
-        t = pa.from_numpy_dtype(s.dtype)
-    except (TypeError, ValueError):
-        return pa.array(s)  # extension dtype: Arrow infers from the dtype
-    return pa.array(s.to_numpy(), type=t)
+from raygraph.joins import bucket_exchange
 
 # agg spec: out_col -> (in_col | None, op)
 AggSpec = Dict[str, Tuple[Optional[str], str]]
 
 _COMBINE_OP = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+# a sum over no valid values is 0, as in pandas, not null
+_SUM0 = pc.ScalarAggregateOptions(min_count=0)
+
+
+def _valid_keys(t: pa.Table, keys) -> pa.Table:
+    """The rows of ``t`` with no null key: pandas ``groupby`` drops null
+    keys, Arrow ``group_by`` would keep them as one group."""
+    if not any(t.column(k).null_count for k in keys):
+        return t
+    ok = pc.is_valid(t.column(keys[0]))
+    for k in keys[1:]:
+        ok = pc.and_(ok, pc.is_valid(t.column(k)))
+    return t.filter(ok)
+
+
+def _group(t: pa.Table, keys, aggs: AggSpec) -> pa.Table:
+    """One ``pa.Table.group_by(keys)`` pass over ``t``, counts included:
+    keys + one column per ``aggs`` entry."""
+    cols = {k: t.column(k) for k in keys}
+    counts = any(op == "count" for _c, op in aggs.values())
+    spec = [([], "count_all")] if counts else []
+    for i, (c, op) in enumerate(aggs.values()):
+        if op != "count":
+            cols[f"__a{i}"] = t.column(c)
+            spec.append((f"__a{i}", op, _SUM0 if op == "sum" else None))
+    res = pa.table(cols).group_by(keys, use_threads=False).aggregate(spec)
+    out = {k: res.column(k) for k in keys}
+    for i, (o, (_c, op)) in enumerate(aggs.items()):
+        out[o] = res.column("count_all" if op == "count" else f"__a{i}_{op}")
+    return pa.table(out)
 
 
 def hash_aggregate(
@@ -55,7 +74,6 @@ def hash_aggregate(
     keys: Sequence[str],
     aggs: Optional[AggSpec] = None,
     num_buckets: int = 64,
-    coalesce: bool = True,
 ):
     """Grouped aggregate of ``ds`` by ``keys``; returns keys + agg columns.
 
@@ -65,60 +83,38 @@ def hash_aggregate(
     """
     keys = list(keys)
     aggs = aggs or {}
+    fin = {o: (o, _COMBINE_OP[op]) for o, (_c, op) in aggs.items()}
 
-    def combine(df: pd.DataFrame) -> pa.Table:
-        # NOTE: no empty-batch special case — pandas groupby on an empty
-        # frame yields an empty result with the SAME columns/dtypes as the
-        # non-empty path, and the explicit Arrow types below keep every
-        # block's schema identical (a diverging empty schema triggers Ray
-        # RefBundle schema warnings).
-        g = df.groupby(keys, as_index=False, sort=False)
-        pieces = [g.size().rename(columns={"size": "__n"})]
-        agg_map = {}
-        for out_col, (in_col, op) in aggs.items():
-            if op == "count":
-                continue
-            agg_map[out_col] = (in_col, op)
-        if agg_map:
-            named = g.agg(**{o: pd.NamedAgg(column=c, aggfunc=op)
-                             for o, (c, op) in agg_map.items()})
-            pieces.append(named)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = out.merge(p, on=keys)
-        for out_col, (in_col, op) in aggs.items():
-            if op == "count":
-                out[out_col] = out["__n"].astype(np.int64)
-        out["__bk"] = (_key_hash(out, keys) % np.uint64(num_buckets)).astype(np.int32)
-        # emit the partials as Arrow with EXPLICIT types: the bucket
-        # exchange then moves zero-copy Arrow blocks (the BASELINE.md
-        # contract) instead of pickled pandas frames
-        return pa.table({c: _pa_array(out[c]) for c in out.columns})
-
-    combined = ds.map_batches(combine, batch_format="pandas")
-
-    def finalize(t: pa.Table) -> pa.Table:
-        gb = t.group_by(keys, use_threads=False)
-        if not aggs:
-            return gb.aggregate([])
-        res = gb.aggregate(
-            [(o, _COMBINE_OP[op]) for o, (_c, op) in aggs.items()]
-        )
-        cols = {k: res.column(k) for k in keys}
-        for o, (_c, op) in aggs.items():
-            cols[o] = res.column(f"{o}_{_COMBINE_OP[op]}")
-        return pa.table(cols)
-
-    if coalesce:
-        # Skip (coalesce=False) when the partials are data-sized (e.g. a
-        # near-unique-key dedup): the extra plasma copy evicts more than
-        # the small-block savings buy — see joins.coalesce_for_exchange.
-        combined = coalesce_for_exchange(combined, num_buckets)
-    return combined.groupby("__bk").map_groups(finalize, batch_format="pyarrow")
+    combined = ds.map_batches(
+        lambda t: _group(_valid_keys(t, keys), keys, aggs),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(combined, keys, lambda t: _group(t, keys, fin),
+                           num_buckets)
 
 
 def distinct(ds, keys: Sequence[str], num_buckets: int = 64):
     return hash_aggregate(ds, keys, None, num_buckets)
+
+
+def _first_k(t: pa.Table, keys, order, k: int) -> pa.Table:
+    """The first ``k`` rows of each key of ``t`` after a stable sort by
+    ``keys`` ascending, then ``order`` (``(column, "ascending" |
+    "descending")`` pairs): ties keep input order.  Null keys form one
+    group."""
+    t = t.sort_by([(c, "ascending") for c in keys] + list(order))
+    n = t.num_rows
+    if n == 0:
+        return t
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for c in keys:
+        a, b = t.column(c)[1:], t.column(c)[:-1]
+        same = pc.or_kleene(pc.equal(a, b),
+                            pc.and_(pc.is_null(a), pc.is_null(b)))
+        new[1:] |= ~pc.fill_null(same, False).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(new)
+    rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    return t.filter(pa.array(rank < k))
 
 
 def hash_argmin(ds, keys: Sequence[str], order_cols: Sequence[str],
@@ -129,32 +125,16 @@ def hash_argmin(ds, keys: Sequence[str], order_cols: Sequence[str],
     Combinable two-phase like :func:`hash_aggregate` — each batch keeps its
     per-key minimal row (map-side combine), then one bucket shuffle and a
     final per-key pick.  Row identity is preserved (unlike per-column
-    ``min``, which would mix columns from different rows)."""
+    ``min``, which would mix columns from different rows).  Null keys
+    form one group, as in pandas ``drop_duplicates``."""
     keys = list(keys)
-    order = list(order_cols)
+    order = [(c, "ascending") for c in order_cols]
 
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            df.sort_values(order, kind="mergesort")
-            .drop_duplicates(keys, keep="first")
-            .copy()
-        )
-        out["__bk"] = (_key_hash(out, keys) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
-        return out
+    def pick(t: pa.Table) -> pa.Table:
+        return _first_k(t, keys, order, 1)
 
-    part = ds.map_batches(pick, batch_format="pandas")
-
-    def fin(group: pd.DataFrame) -> pd.DataFrame:
-        return (
-            group.sort_values(order, kind="mergesort")
-            .drop_duplicates(keys, keep="first")
-            .drop(columns="__bk")
-        )
-
-    part = coalesce_for_exchange(part, num_buckets)
-    return part.groupby("__bk").map_groups(fin, batch_format="pandas")
+    part = ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(part, keys, pick, num_buckets)
 
 
 def grouped_topk(ds, keys: Sequence[str], order_cols: Sequence[str], k: int,
@@ -167,7 +147,8 @@ def grouped_topk(ds, keys: Sequence[str], order_cols: Sequence[str], k: int,
     combine bounds the shuffle to ≤ k rows per key per block), then one
     bucket shuffle and a final per-key top-k.  Deterministic iff
     ``order_cols`` is a total order within each key — include a tiebreak
-    column (e.g. a row id) when the ranking column has duplicates.
+    column (e.g. a row id) when the ranking column has duplicates.  Rows
+    with a null key are dropped, as pandas ``groupby`` drops them.
     """
     keys = list(keys)
     order = list(order_cols)
@@ -177,27 +158,14 @@ def grouped_topk(ds, keys: Sequence[str], order_cols: Sequence[str], k: int,
     )
     if len(per_col) != len(order):
         raise ValueError("ascending must be a bool or one flag per order col")
-    asc = [True] * len(keys) + per_col
+    order = [(c, "ascending" if a else "descending")
+             for c, a in zip(order, per_col)]
 
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.sort_values(keys + order, ascending=asc, kind="mergesort")
-            .groupby(keys, sort=False)
-            .head(k)
-        )
+    def topk(t: pa.Table) -> pa.Table:
+        return _first_k(_valid_keys(t, keys), keys, order, k)
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = topk(df).copy()
-        out["__bk"] = (_key_hash(out, keys) % np.uint64(num_buckets)).astype(
-            np.int32
-        )
-        return out
-
-    part = ds.map_batches(combine, batch_format="pandas")
-    part = coalesce_for_exchange(part, num_buckets)
-    return part.groupby("__bk").map_groups(
-        lambda g: topk(g.drop(columns="__bk")), batch_format="pandas"
-    )
+    part = ds.map_batches(topk, batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(part, keys, topk, num_buckets)
 
 
 def bucketed_map_groups(
@@ -205,42 +173,36 @@ def bucketed_map_groups(
     keys: Sequence[str],
     fn,
     num_buckets: int = 64,
-    batch_format: str = "pandas",
 ):
     """``groupby(keys).map_groups(fn)`` without per-group task overhead.
 
-    Groups by ``hash(keys) % num_buckets`` (one Ray group per bucket) and
-    runs a pandas groupby-apply inside: ``fn`` receives each complete key
-    group, exactly as Ray's ``map_groups`` would deliver it.  Use when the
-    expected group count is large and per-group work is small.
+    Groups by the bucket of ``keys`` (:func:`raygraph.joins.bucket_exchange`,
+    one Ray group per bucket) and runs a pandas groupby-apply inside:
+    ``fn`` receives each complete key group as a pandas frame, exactly as
+    Ray's ``map_groups`` would deliver it.  Use when the expected group
+    count is large and per-group work is small.
 
-    Note: when fewer than ``num_buckets`` distinct buckets exist, Ray's
-    sort-based groupby emits columnless empty blocks for the empty
-    partitions and logs "RefBundle with a different schema" warnings.
-    That is Ray-internal (reproducible with a vanilla
-    ``groupby().map_groups`` on sparse keys, no UDF involved) and
-    harmless; user ``fn``s should still return typed empty frames so the
-    blocks THEY produce stay schema-stable.
+    Note: Ray passes a columnless empty block on wherever a block is
+    empty (it never calls a ``map_batches`` function on one) and for every
+    empty partition of the exchange's sort, and then logs "RefBundle with
+    a different schema" warnings.  That is Ray-internal and harmless;
+    ``fn`` should still return typed empty frames, so that the blocks IT
+    produces stay schema-stable.
     """
+    import pandas as pd
+
     keys = list(keys)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bk"] = (_key_hash(df, keys) % np.uint64(num_buckets)).astype(np.int32)
-        return df
-
-    tagged = ds.map_batches(add_bucket, batch_format="pandas")
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         outs = []
-        for _, sub in group.drop(columns="__bk").groupby(keys, sort=False):
+        for _, sub in group.groupby(keys, sort=False):
             r = fn(sub)
             if r is not None and len(r):
                 outs.append(r)
         if not outs:
-            r = fn(group.drop(columns="__bk").head(0))
+            r = fn(group.head(0))
             return r if r is not None else pd.DataFrame()
         return pd.concat(outs, ignore_index=True)
 
-    tagged = coalesce_for_exchange(tagged, num_buckets)
-    return tagged.groupby("__bk").map_groups(per_bucket, batch_format=batch_format)
+    return bucket_exchange(ds, keys, per_bucket, num_buckets)

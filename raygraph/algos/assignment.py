@@ -141,15 +141,7 @@ def batched_dense_hungarian(ds, group_col: str = "problem",
 
     Partitioning assumption: one problem's rows fit one task (the dense
     per-problem solve); problems are distributed by hash bucket."""
-    from raygraph.hashing import hash_int64
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__gb"] = (
-            hash_int64(df[group_col].to_numpy(np.int64))
-            % np.uint64(num_buckets)
-        ).astype(np.int32)
-        return df
+    from raygraph.joins import bucket_exchange
 
     def solve_bucket(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -180,8 +172,5 @@ def batched_dense_hungarian(ds, group_col: str = "problem",
             )
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__gb")
-        .map_groups(solve_bucket, batch_format="pandas")
-    )
+    return bucket_exchange(ds, [group_col], solve_bucket, num_buckets,
+                           batch_format="pandas")

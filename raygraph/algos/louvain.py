@@ -311,7 +311,6 @@ def _move_phase_ds(level_edges, S, m2, q_cur, resolution, max_inner,
     from raygraph import joins
     from raygraph.agg import hash_aggregate
     from raygraph.hashing import hash_int64
-    from raygraph.joins import _key_hash
 
     state_cols = ["vertex", "comm", "k"] + (["parent"] if restricted else [])
 
@@ -391,13 +390,6 @@ def _move_phase_ds(level_edges, S, m2, q_cur, resolution, max_inner,
         )
 
         # co-locate rows of each src, then the shared vectorized kernel
-        def tag(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__bk"] = (_key_hash(df, ["src"]) % np.uint64(32)).astype(
-                np.int32
-            )
-            return df
-
         def pick(g: pd.DataFrame) -> pd.DataFrame:
             vb, cb, gain, oc = _best_moves(
                 g["src"].to_numpy(np.int64),
@@ -417,14 +409,8 @@ def _move_phase_ds(level_edges, S, m2, q_cur, resolution, max_inner,
                 out["own_csize"] = oc
             return out
 
-        picked = cut_stats_lineage(
-            cand.map_batches(tag, batch_format="pandas")
-            .groupby("__bk")
-            .map_groups(
-                lambda g: pick(g.drop(columns="__bk")), batch_format="pandas"
-            )
-            .materialize()
-        )
+        picked = cut_stats_lineage(joins.bucket_exchange(
+            cand, ["src"], pick, 32, batch_format="pandas").materialize())
         if picked.count() == 0:
             break
         if singleton_only:

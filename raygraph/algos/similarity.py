@@ -263,7 +263,6 @@ def _pairs_ds(edges_ds, vertex_weights, num_buckets: int):
     apex's rows all land in one bucket, so a pair's partial ``common``
     values sum to the whole-table count and its degrees repeat exactly."""
     from raygraph.agg import hash_aggregate
-    from raygraph.graph import _key_bucket
 
     if vertex_weights is None:
         deg = hash_aggregate(edges_ds, ["src"], {"deg": (None, "count")},
@@ -282,16 +281,7 @@ def _pairs_ds(edges_ds, vertex_weights, num_buckets: int):
             on="src", how="left", num_buckets=num_buckets,
         )
 
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b", pa.array(_key_bucket(t.column("src"), num_buckets)))
-
-    parts = (
-        rows.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(lambda t: _apex_pairs(t.drop_columns(["__b"])),
-                    batch_format="pyarrow")
-    )
+    parts = joins.bucket_exchange(rows, ["src"], _apex_pairs, num_buckets)
     return hash_aggregate(
         parts, ["a", "b"],
         {"common": ("common", "sum"), "deg_a": ("deg_a", "min"),

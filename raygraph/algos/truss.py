@@ -55,8 +55,6 @@ def _support_ds(e, num_buckets: int):
     weight) Dataset ``e`` (src < dst) → (src, dst, support), edges in no
     triangle omitted.  Every apex's rows land in one bucket, so the kernel
     sees each adjacency whole."""
-    from raygraph.graph import _key_bucket
-
     both = e.map_batches(
         lambda t: pa.concat_tables([
             t.select(["src", "dst"]),
@@ -68,18 +66,11 @@ def _support_ds(e, num_buckets: int):
     rows = joins.hash_join(both, deg.rename_columns({"src": "dst"}),
                            on="dst", num_buckets=num_buckets)
 
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b", pa.array(_key_bucket(t.column("src"), num_buckets)))
-
     empty = pa.schema({"apex": pa.int64(), "src": pa.int64(),
                        "dst": pa.int64()}).empty_table()
-    wedges = (
-        rows.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(lambda t: pa.concat_tables([empty, *_wedges(t)]),
-                    batch_format="pyarrow")
-    )
+    wedges = joins.bucket_exchange(
+        rows, ["src"], lambda t: pa.concat_tables([empty, *_wedges(t)]),
+        num_buckets)
     tri = joins.hash_join(wedges, e, on=["src", "dst"],
                           num_buckets=num_buckets)
 

@@ -134,15 +134,6 @@ def ngram_jaccard_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         num_buckets=num_buckets,
     )
     # pair emission, grouped by gram
-    from raygraph.hashing import hash_str_array
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__gb"] = (
-            hash_str_array(df["gram"].tolist()) % np.uint32(num_buckets)
-        ).astype(np.int32)
-        return df
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         """All (a<b) doc pairs per gram — fully vectorized ragged triu
         (no Python loop over grams; group fan-out bounded by the df cap)."""
@@ -168,11 +159,8 @@ def ngram_jaccard_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         b_idx = a_idx + off + 1
         return pd.DataFrame({"a": ids[a_idx], "b": ids[b_idx]})
 
-    cand = (
-        gram_rows.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__gb")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    cand = joins.bucket_exchange(gram_rows, ["gram"], pairs, num_buckets,
+                                 batch_format="pandas")
     inter = hash_aggregate(
         cand, ["a", "b"], {"common": (None, "count")}, num_buckets=num_buckets
     )
@@ -979,8 +967,7 @@ def duplicate_ngram_spans(ds, n: int = 8, min_docs: int = 2,
     """
     import re
 
-    from raygraph.joins import coalesce_for_exchange
-    from raygraph.hashing import hash_int64
+    from raygraph.joins import bucket_exchange
 
     tok_re = re.compile(r"\w+")
     grams = ds.map_batches(
@@ -994,13 +981,6 @@ def duplicate_ngram_spans(ds, n: int = 8, min_docs: int = 2,
     # rows directly — gram rows cross the network once (previously:
     # distinct-(g,doc) aggregate + per-g count + join-back ≈ 3× the
     # exchange volume, plus a mid-pipeline materialize).
-    def tag_g(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bk"] = (
-            hash_int64(df["g"].to_numpy(np.int64)) % np.uint64(num_buckets)
-        ).astype(np.int32)
-        return df
-
     def dup_hits(group: pd.DataFrame) -> pd.DataFrame:
         if not len(group):
             return pd.DataFrame({
@@ -1028,12 +1008,8 @@ def duplicate_ngram_spans(ds, n: int = 8, min_docs: int = 2,
             "pos": group["pos"].to_numpy(np.int64)[keep],
         })
 
-    hits = coalesce_for_exchange(
-        grams.map_batches(tag_g, batch_format="pandas"), num_buckets
-    ).groupby("__bk").map_groups(
-        lambda grp: dup_hits(grp.drop(columns="__bk")),
-        batch_format="pandas",
-    )
+    hits = bucket_exchange(grams, ["g"], dup_hits, num_buckets,
+                           batch_format="pandas")
 
     def merge_spans(group: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -1072,19 +1048,8 @@ def duplicate_ngram_spans(ds, n: int = 8, min_docs: int = 2,
             "n_grams": (ends - starts + 1).astype(np.int64),
         })
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[id_col, "pos"]].copy()
-        df["__bk"] = (
-            hash_int64(df[id_col].to_numpy(np.int64)) % np.uint64(num_buckets)
-        ).astype(np.int32)
-        return df
-
-    tagged = coalesce_for_exchange(
-        hits.map_batches(add_bucket, batch_format="pandas"), num_buckets
-    )
-    return tagged.groupby("__bk").map_groups(
-        lambda g: merge_spans(g.drop(columns="__bk")), batch_format="pandas"
-    )
+    return bucket_exchange(hits, [id_col], merge_spans, num_buckets,
+                           batch_format="pandas")
 
 
 def remove_duplicate_spans(ds, spans, text_col: str = "text",

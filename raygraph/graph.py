@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raygraph import joins
-from raygraph.hashing import hash_int64, hash_str_array, part_of_vertex
+from raygraph.hashing import hash_int64, key_bucket, part_of_vertex
 
 CANON = ("src", "dst", "weight")
 DEFAULT_BROADCAST_LIMIT = 20_000_000  # keys; above this, renumber uses a shuffle join
@@ -167,21 +167,12 @@ def _endpoints(t: pa.Table, cols=("src", "dst")) -> pa.ChunkedArray:
                             t.schema.field(cols[0]).type)
 
 
-def _key_bucket(keys, num_buckets: int) -> np.ndarray:
-    """Vid bucket of an Arrow key column: splitmix64 for integer types,
-    pandas SipHash (:func:`hash_str_array`) for anything else, mod B."""
-    if pa.types.is_integer(keys.type):
-        h = hash_int64(keys.cast(pa.int64()).to_numpy())
-    else:
-        h = hash_str_array(keys.to_numpy(zero_copy_only=False))
-    return (h % np.uint64(num_buckets)).astype(np.int32)
-
-
 def bucket_rank(keys, num_buckets: int = 64) -> pa.Table:
-    """Distinct ``keys`` → ``(vertex_key, __bucket, __local)`` in
+    """Distinct ``keys`` → ``(vertex_key, __bk, __local)`` in
     bucket-major order: the dense-id rule.
 
-    ``__bucket`` is the key's hash mod B and ``__local`` its ascending rank
+    ``__bk`` is the key's :func:`~raygraph.hashing.key_bucket` (the bucket
+    of every hash exchange) and ``__local`` its ascending rank
     within the bucket; a key's dense id is the size of all lower buckets
     plus ``__local`` — a pure function of the key set, so resume sees the
     same ids at any parallelism, without a global sort
@@ -191,12 +182,12 @@ def bucket_rank(keys, num_buckets: int = 64) -> pa.Table:
     u = pc.unique(keys)
     # Arrow sorts strings by UTF-8 bytes, i.e. by code point
     u = u.take(pc.sort_indices(u))
-    b = _key_bucket(u, num_buckets)
+    b = key_bucket([u], num_buckets)
     order = np.argsort(b, kind="stable")
     b = b[order]
     return pa.table({
         "vertex_key": u.take(pa.array(order)),
-        "__bucket": pa.array(b, pa.int32()),
+        "__bk": pa.array(b, pa.int32()),
         "__local": np.arange(len(b), dtype=np.int64) - np.searchsorted(b, b),
     })
 
@@ -321,14 +312,11 @@ def dedup_edges(ds, how: str = "min"):
     spin-up after the build at sf0.1)."""
 
     def combine(t: pa.Table) -> pa.Table:
-        t = _combine(t, how)
-        h = joins._key_hash_arrow([t.column("src"), t.column("dst")])
-        return t.append_column(
-            "__bk", pa.array((h % np.uint64(_DEDUP_BUCKETS)).astype(np.int32)))
+        return _combine(t, how)
 
     part = ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
-    return part.groupby("__bk").map_groups(lambda t: _combine(t, how),
-                                           batch_format="pyarrow")
+    return joins.bucket_exchange(part, ["src", "dst"], combine,
+                                 _DEDUP_BUCKETS, coalesce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,31 +327,30 @@ def build_vertex_map(ds, cols=("src", "dst"), num_buckets: int = 64):
     """Distinct keys of ``cols`` → (vertex_key, vid): :func:`bucket_rank`
     on a Dataset.
 
-    Each batch ranks its own distinct keys (a map-side combine that also
-    tags ``__bucket``), the ONE shuffle groups by ``__bucket``, each bucket
-    ranks all of its keys, and the driver sees only the B bucket sizes:
-    vid = offsets[__bucket] + __local, the row position the driver build
+    Each batch keeps its own distinct keys (a map-side combine), the ONE
+    :func:`~raygraph.joins.bucket_exchange` groups them by key bucket —
+    the ``__bk`` that :func:`bucket_rank` assigns — each bucket ranks all
+    of its keys, and the driver sees only the B bucket sizes:
+    vid = offsets[__bk] + __local, the row position the driver build
     gives the same key.
 
     Returns (vmap_dataset, num_vertices).
     """
 
     def distinct(t: pa.Table) -> pa.Table:
-        return bucket_rank(_endpoints(t, cols), num_buckets).drop_columns(
-            ["__local"])
+        return pa.table({"vertex_key": pc.unique(_endpoints(t, cols))})
 
-    keyed = joins.coalesce_for_exchange(
+    ranked = joins.bucket_exchange(
         ds.map_batches(distinct, batch_format="pyarrow", zero_copy_batch=True),
-        num_buckets)
-    ranked = keyed.groupby("__bucket").map_groups(
+        ["vertex_key"],
         lambda t: bucket_rank(t.column("vertex_key"), num_buckets),
-        batch_format="pyarrow",
+        num_buckets,
     ).materialize()  # small (distinct keys); reused twice below
 
     counts = _driver_table(ranked.map_batches(
         lambda t: pa.table({
             "b": np.arange(num_buckets, dtype=np.int32),
-            "n": np.bincount(t.column("__bucket").to_numpy(),
+            "n": np.bincount(t.column("__bk").to_numpy(),
                              minlength=num_buckets),
         }),
         batch_format="pyarrow",
@@ -376,7 +363,7 @@ def build_vertex_map(ds, cols=("src", "dst"), num_buckets: int = 64):
     vmap = ranked.map_batches(
         lambda t: pa.table({
             "vertex_key": t.column("vertex_key"),
-            "vid": offsets[t.column("__bucket").to_numpy()]
+            "vid": offsets[t.column("__bk").to_numpy()]
             + t.column("__local").to_numpy(),
         }),
         batch_format="pyarrow",
@@ -390,11 +377,11 @@ def build_vertex_map_by_degree(ds, cols=("src", "dst"), num_buckets: int = 64):
 
     Mirrors the reference's degree-descending vertex ordering
     (``renumber_edgelist_impl.cuh:384-392``) without a global sort:
-    per-batch (key, count) partials → one bucketed hash aggregate gives
-    (vertex_key, degree); the ONE shuffle groups by hash bucket; each
-    bucket task sorts (degree desc, key asc) and emits per-(degree,
-    bucket) local ranks; the driver sees only per-(degree, bucket) GROUP
-    SIZES — O(distinct degrees × B) rows (power-law graphs have
+    per-batch (key, count) partials; the ONE
+    :func:`~raygraph.joins.bucket_exchange` groups them by key bucket;
+    each bucket task sums its keys' degrees, sorts (degree desc, key asc)
+    and emits per-(degree, bucket) local ranks; the driver sees only
+    per-(degree, bucket) GROUP SIZES — O(distinct degrees × B) rows (power-law graphs have
     O(√E) distinct degrees) — orders them by (-degree, bucket) into
     exclusive offsets, and vid = group_offset + local_rank.  So
     degree(vid i) ≥ degree(vid j) whenever i < j, deterministic for a
@@ -406,48 +393,40 @@ def build_vertex_map_by_degree(ds, cols=("src", "dst"), num_buckets: int = 64):
     """
     import ray
 
-    from raygraph.agg import hash_aggregate
-
     def key_counts(t: pa.Table) -> pa.Table:
         vc = pc.value_counts(_endpoints(t, cols))
         return pa.table({"vertex_key": vc.field("values"),
                          "__cnt": vc.field("counts")})
 
-    deg = hash_aggregate(
-        ds.map_batches(key_counts, batch_format="pyarrow"),
-        ["vertex_key"], {"degree": ("__cnt", "sum")}, num_buckets=num_buckets,
-    )
-    keyed = deg.map_batches(
-        lambda t: t.append_column(
-            "__bucket",
-            pa.array(_key_bucket(t.column("vertex_key"), num_buckets))),
-        batch_format="pyarrow",
-    )
-
     def rank_within(t: pa.Table) -> pa.Table:
+        t = t.group_by("vertex_key", use_threads=False).aggregate(
+            [("__cnt", "sum")])
+        keys = t.column("vertex_key")
+        t = pa.table({"vertex_key": keys, "degree": t.column("__cnt_sum"),
+                      "__bk": key_bucket([keys], num_buckets)})
         t = t.sort_by([("degree", "descending"), ("vertex_key", "ascending")])
         # local rank within each degree segment of this bucket
         d = -t.column("degree").to_numpy()
         return t.append_column(
             "__local", pa.array(np.arange(len(d)) - np.searchsorted(d, d)))
 
-    keyed = joins.coalesce_for_exchange(keyed, num_buckets)
-    ranked = keyed.groupby("__bucket").map_groups(
-        rank_within, batch_format="pyarrow"
+    ranked = joins.bucket_exchange(
+        ds.map_batches(key_counts, batch_format="pyarrow"), ["vertex_key"],
+        rank_within, num_buckets,
     ).materialize()  # small (distinct keys); reused twice
 
     # per-(degree, bucket) group sizes, ordered (degree desc, bucket asc)
     # by the key -degree·B + bucket into exclusive offsets
     g = _driver_table(ranked.map_batches(
-        lambda t: t.group_by(["degree", "__bucket"]).aggregate(
+        lambda t: t.group_by(["degree", "__bk"]).aggregate(
             [("__local", "count")]),
         batch_format="pyarrow",
-    ), pa.schema({"degree": pa.int64(), "__bucket": pa.int32(),
+    ), pa.schema({"degree": pa.int64(), "__bk": pa.int32(),
                   "__local_count": pa.int64()}))
 
     def okey(t: pa.Table) -> np.ndarray:
         return (-t.column("degree").to_numpy().astype(np.int64) * num_buckets
-                + t.column("__bucket").to_numpy())
+                + t.column("__bk").to_numpy())
 
     ks = np.unique(okey(g))
     sizes = np.bincount(np.searchsorted(ks, okey(g)),

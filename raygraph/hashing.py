@@ -63,6 +63,42 @@ def hash_str_array(keys) -> np.ndarray:
     return pd.util.hash_array(arr, categorize=False)
 
 
+def _column_hash(col) -> np.ndarray:
+    """uint64 hash of one key column, an Arrow (chunked) array or a pandas
+    Series: splitmix64 of the int64 value for integer types, pandas
+    SipHash (:func:`hash_str_array`) of the values for anything else.
+    Both formats hash equal values equally, so pandas and Arrow blocks of
+    one Dataset bucket alike."""
+    import pyarrow as pa
+
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if pa.types.is_integer(col.type):
+            col = col.cast(pa.int64(), safe=False)
+            if col.null_count:
+                col = col.fill_null(0)
+            return hash_int64(col.to_numpy())
+        return hash_str_array(col.to_numpy(zero_copy_only=False))
+    if col.dtype.kind in "iu":
+        return hash_int64(col.to_numpy())
+    return hash_str_array(col.to_numpy())
+
+
+def key_bucket(cols, num_buckets: int) -> np.ndarray:
+    """The bucket rule of every hash exchange: key columns → int32 bucket
+    in ``[0, num_buckets)``.
+
+    One column buckets by its :func:`_column_hash` mod B — the dense-id
+    rule of the graph build (``graph.bucket_rank``), so vertex maps and
+    checkpoints depend on it.  Each further column folds in as
+    ``splitmix64(h) ^ hash(col)``, so ``(a, b)`` and ``(b, a)`` hash
+    differently."""
+    h = None
+    for col in cols:
+        hc = _column_hash(col)
+        h = hc if h is None else splitmix64(h) ^ hc
+    return (h % _U64(num_buckets)).astype(np.int32)
+
+
 def group_pairs(a: np.ndarray, b: np.ndarray, weights=None, wide: bool = False):
     """Unique (a, b) pairs in lexicographic order with per-pair aggregates.
 

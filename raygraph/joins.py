@@ -9,11 +9,15 @@ cuco static_map).  In Ray Data we provide two strategies and pick by size:
   ``ray.put`` and read zero-copy by every map task (never re-shipped per
   batch).  This is the right shape for dimension tables / renumber maps that
   fit in a worker's heap.
-* **bucketed hash join** — both sides get a ``__bucket = hash(key) % B``
-  column, are unioned with a side tag, grouped by bucket, and merged
-  per-bucket with pandas inside ``map_groups``.  All-to-all cost = one
-  shuffle of each side; B sized ≈ 2–4× cluster cores.  Skewed keys can be
-  salted by raising B (each bucket only needs to fit in one task's heap).
+* **bucketed hash join** — both sides are side-tagged, unioned and sent
+  through :func:`bucket_exchange` (the one hash exchange under every
+  bucketed operator: ``__bk = key_bucket(keys, B)``, one shuffle), then
+  merged per bucket with the Acero hash join (``pa.Table.join``), or
+  with pandas ``merge`` when a side's schema has a pandas ``object``
+  column (the Arrow type is then unknown).
+  All-to-all cost = one shuffle of each side; B sized ≈ 2–4× cluster
+  cores.  Skewed keys can be salted by raising B (each bucket only needs
+  to fit in one task's heap).
 
 Ray ≥2.47 also ships ``Dataset.join``; we keep these explicit versions so
 the partitioning assumptions are visible and controllable.
@@ -27,7 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raygraph.hashing import hash_int64, hash_str_array
+from raygraph.hashing import key_bucket
 
 
 def coalesce_for_exchange(ds, num_buckets: int):
@@ -51,17 +55,44 @@ def coalesce_for_exchange(ds, num_buckets: int):
     return ds.repartition(tgt, shuffle=False)
 
 
-def _key_hash(df: pd.DataFrame, keys: Sequence[str]) -> np.ndarray:
-    h = np.zeros(len(df), dtype=np.uint64)
-    for k in keys:
-        col = df[k]
-        if col.dtype.kind in "iu":
-            h ^= hash_int64(col.to_numpy())
-        else:
-            h ^= hash_str_array(col.astype(str).to_numpy()).astype(np.uint64)
-        # mix between columns so (a,b) != (b,a)
-        h = hash_int64(h.view(np.int64))
-    return h
+BUCKET = "__bk"
+
+
+def bucket_exchange(ds, keys: Sequence[str], fn, num_buckets: int = 64,
+                    batch_format: str = "pyarrow", coalesce: bool = True):
+    """The one hash-bucket exchange: append ``__bk`` =
+    :func:`~raygraph.hashing.key_bucket` of ``keys`` to every block of
+    ``ds`` (a Dataset, or a list of Datasets tagged one by one and then
+    unioned), coalesce (:func:`coalesce_for_exchange`), and run ONE
+    ``groupby("__bk").map_groups``.  ``fn`` sees all rows of a bucket at
+    once, without ``__bk``, as ``batch_format``; every row of a key lands
+    in the same call.
+
+    Blocks are tagged in their own format (Arrow stays Arrow, pandas stays
+    pandas), and the tag fuses into the stage that made the block.
+    ``coalesce=False`` suits data-sized inputs (the edge dedup): there
+    the extra plasma copy costs more than the small-block savings buy."""
+    keys = list(keys)
+
+    def tag(b):
+        bk = key_bucket([b[k] for k in keys], num_buckets)
+        if isinstance(b, pa.Table):
+            return b.append_column(BUCKET, pa.array(bk))
+        return b.assign(**{BUCKET: bk})
+
+    tagged = [d.map_batches(tag, batch_format=None, zero_copy_batch=True)
+              for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
+    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    if coalesce:
+        both = coalesce_for_exchange(both, num_buckets)
+    if batch_format == "pandas":
+        def per_bucket(b):
+            return fn(b.drop(columns=BUCKET))
+    else:
+        def per_bucket(b):
+            return fn(b.drop_columns([BUCKET]))
+    return both.groupby(BUCKET).map_groups(per_bucket,
+                                           batch_format=batch_format)
 
 
 def _pin_for_schema(ds):
@@ -152,18 +183,6 @@ def _arrow_join_plan(left, right, keys, how):
     return la, ra
 
 
-def _key_hash_arrow(cols) -> np.ndarray:
-    h = np.zeros(len(cols[0]), dtype=np.uint64)
-    for col in cols:
-        v = col.to_numpy(zero_copy_only=False)
-        if pa.types.is_integer(col.type):
-            h ^= hash_int64(v.astype(np.int64, copy=False))
-        else:
-            h ^= hash_str_array(v).astype(np.uint64)
-        h = hash_int64(h.view(np.int64))
-    return h
-
-
 def _hash_join_arrow(left, right, keys, how, num_buckets, suffixes, plan):
     """Arrow formulation of :func:`hash_join`: tagged sides share ONE
     explicit unified schema (the other side's payload columns ride along
@@ -188,20 +207,13 @@ def _hash_join_arrow(left, right, keys, how, num_buckets, suffixes, plan):
                 cols["__r_" + c] = (
                     t.column(c) if side == 1 else pa.nulls(n, ra[c])
                 )
-            h = _key_hash_arrow([cols[k] for k in keys]) if n else np.empty(
-                0, np.uint64
-            )
             cols["__side"] = pa.array(np.full(n, side, np.uint8))
-            cols["__bucket"] = pa.array(
-                (h % np.uint64(num_buckets)).astype(np.int32)
-            )
             return pa.table(cols)
 
         return fn
 
     lt = left.map_batches(tag(0), batch_format="pyarrow")
     rt = right.map_batches(tag(1), batch_format="pyarrow")
-    both = coalesce_for_exchange(lt.union(rt), num_buckets)
 
     rsel = keys + ["__r_" + c for c in right_payload]
 
@@ -214,7 +226,7 @@ def _hash_join_arrow(left, right, keys, how, num_buckets, suffixes, plan):
         return l.join(r, keys=keys, join_type=jt,
                       left_suffix=suffixes[0], right_suffix=suffixes[1])
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return bucket_exchange([lt, rt], keys, merge, num_buckets)
 
 
 def hash_join(
@@ -241,19 +253,10 @@ def hash_join(
     right_cols, right_dtypes = list(right.columns()), _np_dtypes(right)
 
     def tag(side_val):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__side"] = np.uint8(side_val)
-            df["__bucket"] = (_key_hash(df, keys) % np.uint64(num_buckets)).astype(
-                np.int32
-            )
-            return df
-
-        return fn
+        return lambda df: df.assign(__side=np.uint8(side_val))
 
     lt = left.map_batches(tag(0), batch_format="pandas")
     rt = right.map_batches(tag(1), batch_format="pandas")
-    both = lt.union(rt)
 
     def _restore(df: pd.DataFrame, cols, dtypes) -> pd.DataFrame:
         # a group may hold rows of only one side, in which case the other
@@ -275,8 +278,8 @@ def hash_join(
         r = _restore(group[group["__side"] == 1], right_cols, right_dtypes)
         return l.merge(r, on=keys, how=how, suffixes=suffixes)
 
-    both = coalesce_for_exchange(both, num_buckets)
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucket_exchange([lt, rt], keys, merge, num_buckets,
+                           batch_format="pandas")
 
 
 def asof_join(
@@ -306,19 +309,10 @@ def asof_join(
     right_cols, right_dtypes = list(right.columns()), _np_dtypes(right)
 
     def tag(side_val):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["__side"] = np.uint8(side_val)
-            df["__bucket"] = (_key_hash(df, keys) % np.uint64(num_buckets)).astype(
-                np.int32
-            )
-            return df
+        return lambda df: df.assign(__side=np.uint8(side_val))
 
-        return fn
-
-    both = left.map_batches(tag(0), batch_format="pandas").union(
-        right.map_batches(tag(1), batch_format="pandas")
-    )
+    lt = left.map_batches(tag(0), batch_format="pandas")
+    rt = right.map_batches(tag(1), batch_format="pandas")
 
     def _restore(df: pd.DataFrame, cols, dtypes) -> pd.DataFrame:
         df = df.reindex(columns=cols)
@@ -354,8 +348,8 @@ def asof_join(
             out = out[out[probe[0]].notna()]
         return out
 
-    both = coalesce_for_exchange(both, num_buckets)
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucket_exchange([lt, rt], keys, merge, num_buckets,
+                           batch_format="pandas")
 
 
 def interval_join(
@@ -409,8 +403,8 @@ def semi_join(
     rows whose key tuple does (does not) appear in ``right``.
 
     The right side contributes only key PRESENCE, so it is first reduced
-    to distinct keys (map-side dedup inside :func:`hash_aggregate`'s
-    combiner, one small bucketed exchange).  Then:
+    to distinct keys (:func:`raygraph.agg.distinct`: a map-side dedup,
+    one small bucketed exchange).  Then:
 
     * distinct keys ≤ ``broadcast_limit`` — the key table is ``ray.put``
       once and the left side filters map-only: no shuffle of the (big)
@@ -428,16 +422,10 @@ def semi_join(
     left = _pin_for_schema(left)
     left_cols, left_dtypes = list(left.columns()), _np_dtypes(left)
 
-    from raygraph.agg import hash_aggregate
+    from raygraph.agg import distinct
 
-    dk = hash_aggregate(
-        right.map_batches(
-            lambda df: df[keys].drop_duplicates(), batch_format="pandas"
-        ),
-        keys,
-        {"__n": (None, "count")},
-        num_buckets=num_buckets,
-    ).drop_columns(["__n"]).materialize()  # consumed by count + filter
+    # consumed by count + filter
+    dk = distinct(right, keys, num_buckets=num_buckets).materialize()
 
     n_keys = dk.count()
     if n_keys == 0:
@@ -487,19 +475,10 @@ def semi_join(
         return left.map_batches(filt, batch_format="pandas")
 
     def tag(side_val, cols):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[cols].copy()
-            df["__side"] = np.uint8(side_val)
-            df["__bucket"] = (
-                _key_hash(df, keys) % np.uint64(num_buckets)
-            ).astype(np.int32)
-            return df
-
-        return fn
+        return lambda df: df[cols].assign(__side=np.uint8(side_val))
 
     lt = left.map_batches(tag(0, left_cols), batch_format="pandas")
     rt = dk.map_batches(tag(1, keys), batch_format="pandas")
-    both = coalesce_for_exchange(lt.union(rt), num_buckets)
 
     def filt_bucket(group: pd.DataFrame) -> pd.DataFrame:
         l = group[group["__side"] == 0]
@@ -525,7 +504,8 @@ def semi_join(
         }
         return out.astype(casts) if casts else out
 
-    return both.groupby("__bucket").map_groups(filt_bucket, batch_format="pandas")
+    return bucket_exchange([lt, rt], keys, filt_bucket, num_buckets,
+                           batch_format="pandas")
 
 
 def anti_join(left, right, on, num_buckets: int = 64,

@@ -39,6 +39,28 @@ def test_build_vertex_map_bijection_dense_deterministic():
     assert m1 == m2
 
 
+@pytest.mark.parametrize("keys,want_keys,want_buckets,want_local", [
+    ([92, 0, 71, 1, 32, 7, -5, 2**40],
+     [1, 32, 2**40, 7, -5, 0, 71, 92],
+     [1, 1, 9, 23, 34, 47, 47, 47], [0, 1, 0, 0, 0, 0, 1, 2]),
+    (["v128", "v0", "v81", "alice", "", "Zürich", "node-17", "x" * 40],
+     ["", "x" * 40, "Zürich", "v0", "v128", "v81", "node-17", "alice"],
+     [6, 11, 30, 39, 39, 39, 51, 52], [0, 0, 0, 0, 1, 2, 0, 0]),
+])
+def test_bucket_rank_golden(keys, want_keys, want_buckets, want_local):
+    """The dense-id rule at B=64, pinned: vertex maps and checkpoints on
+    disk hold these buckets and ids (a key's dense id is its row), so a
+    change to the bucket rule must not renumber them silently."""
+    import pyarrow as pa
+
+    from raygraph.graph import bucket_rank
+
+    t = bucket_rank(pa.array(keys), 64)
+    assert t.column("vertex_key").to_pylist() == want_keys
+    assert t.column("__bk").to_pylist() == want_buckets
+    assert t.column("__local").to_pylist() == want_local
+
+
 def test_symmetrize_min_dedup():
     df = pd.DataFrame({"src": [0, 1, 0], "dst": [1, 0, 1], "weight": [5.0, 2.0, 9.0]})
     out = symmetrize(rd.from_pandas(df), dedup="min").to_pandas()

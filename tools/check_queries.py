@@ -11,7 +11,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import numpy as np
 import pandas as pd
@@ -53,8 +54,12 @@ def main():
 
     import ray
 
+    # the workers import raygraph too, from whatever directory this runs in
+    pypath = os.pathsep.join(p for p in (ROOT, os.environ.get("PYTHONPATH"))
+                             if p)
     ray.init(address="local", num_cpus=8, include_dashboard=False,
-             logging_level="ERROR")
+             logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": pypath}})
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
