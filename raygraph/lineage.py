@@ -22,7 +22,47 @@ carried across iterations of a driver loop, right after its
 """
 
 
+_STATS_ATTRS = ("_in_stats", "_snapshot_stats")
 _WARNED = False
+_CHECKED = False
+
+
+def _warn_internals_moved(detail: str):
+    global _WARNED
+    if _WARNED:
+        return
+    _WARNED = True
+    import warnings
+
+    warnings.warn(
+        f"cut_stats_lineage: Ray Data internals changed ({detail}); "
+        "stats-parent chains are no longer truncated — iterative pipelines "
+        "may regress to an O(2^rounds) driver stats walk.",
+        RuntimeWarning,
+        stacklevel=3,  # the caller of check_ray_internals/cut_stats_lineage
+    )
+
+
+def check_ray_internals():
+    """Warn at start-up, once per process, if Ray's execution plan no
+    longer carries the attributes :func:`cut_stats_lineage` empties.
+
+    Builds a bare plan: no Dataset, no execution, no cluster call, so
+    ``SuperstepEngine`` construction pays nothing measurable for it."""
+    global _CHECKED
+    if _CHECKED:
+        return
+    _CHECKED = True
+    try:
+        from ray.data import DataContext
+        from ray.data._internal.plan import ExecutionPlan
+
+        plan = ExecutionPlan(None, DataContext.get_current())
+        missing = [a for a in _STATS_ATTRS if not hasattr(plan, a)]
+    except (ImportError, TypeError) as e:  # the plan class itself moved
+        missing = [f"ExecutionPlan: {e!r}"]
+    if missing:
+        _warn_internals_moved(f"missing {', '.join(missing)}")
 
 
 def cut_stats_lineage(ds):
@@ -31,25 +71,14 @@ def cut_stats_lineage(ds):
     Returns ``ds`` so it can wrap a ``materialize()`` call inline.  If
     Ray's internals move, the worst case is the walk stays deep — never
     an error — but we warn ONCE so a Ray upgrade surfaces the regression
-    (silent fail-open would quietly reintroduce the O(2^rounds) hang).
+    (silent fail-open would quietly reintroduce the O(2^rounds) hang);
+    :func:`check_ray_internals` warns already when an engine starts.
     """
-    global _WARNED
     try:
         plan = ds._plan
-        for stats in (plan._in_stats, plan._snapshot_stats):
+        for stats in (getattr(plan, a) for a in _STATS_ATTRS):
             if stats is not None and getattr(stats, "parents", None):
                 stats.parents = []
     except Exception:
-        if not _WARNED:
-            _WARNED = True
-            import warnings
-
-            warnings.warn(
-                "cut_stats_lineage: Ray Data internals changed "
-                "(_plan._in_stats/_snapshot_stats missing); stats-parent "
-                "chains are no longer truncated — iterative pipelines may "
-                "regress to an O(2^rounds) driver stats walk.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        _warn_internals_moved("_plan._in_stats/_snapshot_stats missing")
     return ds

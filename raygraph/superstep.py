@@ -65,6 +65,7 @@ import pyarrow.parquet as pq
 import ray
 
 from raygraph.hashing import group_pairs, owned_vertices, part_of_vertex
+from raygraph.lineage import check_ray_internals
 
 
 def ref_list(refs, n: int):
@@ -2255,6 +2256,7 @@ class SuperstepEngine:
                  executor: str = "actors"):
         if executor not in ("actors", "driver"):
             raise ValueError(f"unknown executor {executor!r}")
+        check_ray_internals()
         if executor == "driver":
             if num_workers not in (None, 1):
                 raise ValueError("the driver executor runs one worker")

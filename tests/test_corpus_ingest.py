@@ -1,11 +1,68 @@
 """M0/M1 tests: corpus determinism, sha256 invariant, edge derivation."""
 
+import collections
 import hashlib
+import re
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from raygraph import corpus, derive, ingest
+
+# The per-row loop that derive.import_edges replaced, kept as its oracle:
+# whole-file Python regexes, findall + Counter per row.
+_ORACLE_RE = {
+    "py": re.compile(r"^import\s+([A-Za-z_][\w.]*)", re.M),
+    "js": re.compile(r"^import\s+[\w$]+\s+from\s+'([^']+)';?", re.M),
+    "go": re.compile(r'^import\s+"([^"]+)"', re.M),
+}
+
+
+def oracle_import_edges(batch: pa.Table) -> pa.Table:
+    repos = batch.column("repo").to_pylist()
+    paths = batch.column("path").to_pylist()
+    langs = batch.column("lang").to_pylist()
+    contents = batch.column("content").to_pylist()
+    src, dst, wt = [], [], []
+    for repo, path, lang, content in zip(repos, paths, langs, contents):
+        rex = _ORACLE_RE.get(lang)
+        if rex is None:
+            continue
+        counts = collections.Counter(rex.findall(content))
+        pkey = f"path::{repo}/{path}"
+        for mod, n in counts.items():
+            src.append(pkey)
+            dst.append(f"mod::{lang}::{mod}")
+            wt.append(float(n))
+    return pa.table(
+        {
+            "src_key": pa.array(src, pa.string()),
+            "dst_key": pa.array(dst, pa.string()),
+            "weight": pa.array(wt, pa.float64()),
+        }
+    )
+
+
+def _multiset(t):
+    """Edge rows as a multiset; ``t`` is a pa.Table or a DataFrame."""
+    cols = derive.EDGE_SCHEMA.names
+    if isinstance(t, pa.Table):
+        return collections.Counter(zip(*(t.column(c).to_pylist() for c in cols)))
+    return collections.Counter(zip(*(t[c].tolist() for c in cols)))
+
+
+def _files(rows):
+    """One corpus-shaped row per (lang, content), each its own path."""
+    return pa.table(
+        {
+            "repo": pa.array(["r"] * len(rows), pa.string()),
+            "path": pa.array([f"f{i}" for i in range(len(rows))], pa.string()),
+            "lang": pa.array([lang for lang, _ in rows], pa.string()),
+            "content": pa.array([c for _, c in rows], pa.string()),
+        }
+    )
 
 
 def test_corpus_deterministic_and_batch_invariant():
@@ -192,3 +249,172 @@ def test_extractor_registry_custom_stage():
             derive.derive_edges(ds, kinds=("nope",))
     finally:
         derive._EXTRACTORS.pop("langs", None)
+
+
+# Hand-written rows where a per-line match and the whole-file Python match
+# could part ways, by trap.
+IMPORT_TRAPS = {
+    "bare_import_then_newline": [
+        ("py", "import\n"), ("py", "import\nx = 1"), ("py", "import  \t\n  foo"),
+        ("js", "import\nx from 'm';"), ("js", "import x\nfrom 'm';"),
+        ("go", 'import\n"m"'),
+    ],
+    "import_then_import": [
+        ("py", "import\nimport foo"), ("js", "import\nimport x from 'a';"),
+        ("go", 'import\nimport "a"'),
+    ],
+    "quote_open_across_lines": [
+        ("js", "import x from 'a\nb';\nimport y from 'c';"),
+        ("js", "import x from 'a\nimport y from 'c';"),
+        ("go", 'import "a\nb"\nimport "c"'), ("go", 'import "a\n'),
+    ],
+    "crlf": [
+        ("py", "import foo\r\nimport bar.baz\r\n"), ("py", "import\r\nfoo"),
+        ("js", "import x from 'm';\r\n"), ("go", 'import "m"\r\nimport "n"\r\n'),
+    ],
+    "last_line_without_newline": [
+        ("py", "x = 1\nimport foo"), ("js", "import x from 'm'"),
+        ("go", 'import "m"'), ("py", "x = 1\nimport"),
+    ],
+    "repeated": [
+        ("py", "import foo\nimport foo\nimport foo.bar\nimport foo"),
+        ("go", 'import "x"\nimport "x"'),
+        ("js", "import a from 'm';\nimport b from 'm';"),
+    ],
+    "non_ascii": [
+        ("py", "import модуль\nimport a_é1\nimport é\nimport x٣"),
+        ("js", "import ñ from 'módulo';"), ("go", 'import "日本"'),
+        ("py", "import\u3000foo"), ("py", "import\u2028\nfoo"),
+        ("py", "import\x85\nfoo"),
+        ("js", "import x\xa0from 'm'"),
+    ],
+    "not_an_import_line": [
+        ("py", "importlib.reload(m)\nimport foo"), ("py", "  import foo"),
+        ("js", "important = 1\nimport x from 'm';"),
+    ],
+    "unknown_lang": [("rs", "import foo"), ("", "import foo"), ("PY", "import foo")],
+    "empty_content": [("py", ""), ("js", ""), ("go", "\n")],
+}
+
+
+@pytest.mark.parametrize("trap", sorted(IMPORT_TRAPS))
+def test_import_edges_matches_row_loop(trap):
+    t = _files(IMPORT_TRAPS[trap])
+    got = derive.import_edges(t)
+    assert got.schema == derive.EDGE_SCHEMA
+    assert _multiset(got) == _multiset(oracle_import_edges(t))
+
+
+def test_import_edges_mixed_batch_and_empty_batch():
+    t = _files([r for rows in IMPORT_TRAPS.values() for r in rows])
+    assert _multiset(derive.import_edges(t)) == _multiset(oracle_import_edges(t))
+    empty = derive.import_edges(t.slice(0, 0))
+    assert empty.schema == derive.EDGE_SCHEMA and empty.num_rows == 0
+
+
+def test_import_edges_codepoint_sweep():
+    """Every BMP code point in each pattern position whose class differs
+    between Python (Unicode ``\\w``/``\\s``) and RE2 (ASCII)."""
+    chars = [chr(c) for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+    forms = [
+        ("py", "import a{}"),            # \w in the module
+        ("py", "import{}\nfoo"),         # \s after import, across the newline
+        ("js", "import a{} from 'm'"),   # [\w$] in the binding
+        ("js", "import x from '{}'"),    # [^'] in the module
+        ("go", 'import "{}"'),           # [^"] in the module
+    ]
+    t = _files([(lang, form.format(c)) for lang, form in forms for c in chars])
+    want = _multiset(oracle_import_edges(t))
+    assert len(want) > len(chars)
+    assert _multiset(derive.import_edges(t)) == want
+
+
+# -- derive_edges: one fused stage --------------------------------------------
+
+
+def _plan_op_names(ds):
+    """Operator class names of ``ds``'s logical plan, walked without a memo
+    (a shared input is listed once per path to it).  ``_logical_plan`` is
+    Ray-internal: if it moves, fail here rather than pass vacuously."""
+    assert hasattr(ds, "_logical_plan"), "Ray moved Dataset._logical_plan"
+    names, stack = [], [ds._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        names.append(type(op).__name__)
+        stack.extend(op.input_dependencies)
+    return names
+
+
+def test_derive_edges_default_kinds_read_once_without_union():
+    names = _plan_op_names(derive.derive_edges(corpus.corpus_dataset(50, seed=1)))
+    assert "Union" not in names, names
+    assert names.count("Read") == 1, names
+
+
+def test_derive_edges_is_the_union_of_its_extractors():
+    """Function extractors (fused into one stage) and a class extractor
+    (its own actor-pool stage, unioned in) give the multiset union of
+    each extractor run on its own."""
+
+    def lang_edges(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        return pa.table({
+            "src_key": pc.binary_join_element_wise("repo::", t.column("repo"), ""),
+            "dst_key": pc.binary_join_element_wise("lang::", t.column("lang"), ""),
+            "weight": np.ones(len(t), dtype=np.float64),
+        })
+
+    class CommitEdges:
+        def __init__(self):
+            self.prefix = "commit::"
+
+        def __call__(self, t: pa.Table) -> pa.Table:
+            import pyarrow.compute as pc
+
+            return pa.table({
+                "src_key": pc.binary_join_element_wise(
+                    "path::", t.column("repo"), "/", t.column("path"), ""),
+                "dst_key": pc.binary_join_element_wise(
+                    self.prefix, t.column("commit"), ""),
+                "weight": np.full(len(t), 2.0),
+            })
+
+    derive.register_extractor("langs", lang_edges)
+    derive.register_extractor("commits", CommitEdges, concurrency=1)
+    try:
+        n, seed = 400, 9
+        t = corpus.corpus_batch(np.arange(n), n, seed=seed)
+        want = collections.Counter()
+        for fn in (derive.membership_edges, oracle_import_edges, lang_edges,
+                   CommitEdges()):
+            want.update(_multiset(fn(t)))
+        ds = derive.derive_edges(
+            corpus.corpus_dataset(n, seed=seed),
+            kinds=("membership", "commits", "imports", "langs"))
+        assert "Union" in _plan_op_names(ds)
+        assert _multiset(ds.to_pandas()) == want
+    finally:
+        derive._EXTRACTORS.pop("langs", None)
+        derive._EXTRACTORS.pop("commits", None)
+
+
+@pytest.mark.parametrize("seed", [21, 8080])
+def test_corpus_graph_matches_row_loop_build(tmp_path, seed):
+    """The corpus graph built from derive_edges equals, vmap and every
+    ``edges/part=p`` table, the one built from the row-loop extractor run
+    as its own stage and unioned in."""
+    from raygraph.graph import Graph
+
+    P = 8
+    cds = corpus.corpus_dataset(3000, seed=seed)
+    kw = {"batch_format": "pyarrow", "zero_copy_batch": True}
+    oracle = cds.map_batches(derive.membership_edges, **kw).union(
+        cds.map_batches(oracle_import_edges, **kw))
+    for name, edges in (("oracle", oracle), ("derive", derive.derive_edges(cds))):
+        Graph.from_edges(edges, directed=False, num_partitions=P,
+                         out_dir=str(tmp_path / name))
+    for sub in ["vmap"] + [f"edges/part={p}" for p in range(P)]:
+        want = pq.read_table(tmp_path / "oracle" / sub)
+        assert want.num_rows > 0, sub
+        assert pq.read_table(tmp_path / "derive" / sub).equals(want), sub

@@ -68,3 +68,48 @@ def test_cut_stats_lineage_best_effort_on_non_dataset():
 
     sentinel = object()
     assert cut_stats_lineage(sentinel) is sentinel  # never raises
+
+
+def test_engine_start_checks_ray_internals_once(monkeypatch, tmp_path):
+    """SuperstepEngine checks, once per process and without a Ray Data
+    execution, that Ray's plan still carries the attributes
+    cut_stats_lineage empties, and warns at construction if one moved."""
+    import warnings
+
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
+
+    from raygraph import lineage
+    from raygraph.graph import Graph
+    from raygraph.superstep import SuperstepEngine
+
+    g = Graph.from_edges(
+        rd.from_arrow(pa.table({"src_key": ["a", "b"], "dst_key": ["b", "c"],
+                                "weight": [1.0, 1.0]})),
+        num_partitions=2, out_dir=str(tmp_path / "g"))
+
+    def no_execution(*a, **k):
+        raise AssertionError("the start-up check ran a Ray Data execution")
+
+    monkeypatch.setattr(ExecutionPlan, "execute", no_execution)
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", no_execution)
+    monkeypatch.setattr(lineage, "_WARNED", False)
+    monkeypatch.setattr(lineage, "_CHECKED", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lineage.check_ray_internals()  # the real Ray: silent
+
+    init = ExecutionPlan.__init__
+
+    def init_without_snapshot_stats(self, *a, **k):
+        init(self, *a, **k)
+        del self._snapshot_stats
+
+    monkeypatch.setattr(ExecutionPlan, "__init__", init_without_snapshot_stats)
+    monkeypatch.setattr(lineage, "_CHECKED", False)
+    with pytest.warns(RuntimeWarning, match="_snapshot_stats"):
+        SuperstepEngine(g, executor="driver").shutdown()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        SuperstepEngine(g, executor="driver").shutdown()  # once per process
